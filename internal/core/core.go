@@ -260,6 +260,11 @@ type Composer struct {
 
 	walk    walkState
 	scratch walkScratch
+	kernel  Kernel
+	// view is the walk's precise state: the ledger seen by the probing
+	// owner (set per walk). It lives in the composer so the kernel gets
+	// it as a pointer, without boxing per call.
+	view LedgerView
 
 	// walkRtt and walkProbes are resolved once from Env.Obs (nil, and
 	// therefore no-op, when observability is off).
@@ -305,6 +310,7 @@ func NewComposer(env Env, cfg Config) (*Composer, error) {
 		}
 	}
 	c := &Composer{env: env, cfg: cfg}
+	c.view.Ledger = env.Ledger
 	c.scratch = newWalkScratch(&c.env)
 	c.walkRtt = env.Obs.QHistogram("core.walk.rtt_ms")
 	c.walkProbes = env.Obs.QHistogram("core.walk.probes")
@@ -366,7 +372,7 @@ func (c *Composer) Commit(o *Outcome) error {
 	if o == nil || o.Best == nil {
 		return fmt.Errorf("core: commit of unsuccessful outcome")
 	}
-	nodes, links := c.demands(o.Request, o.Best)
+	nodes, links := c.kernel.DemandMaps(c.env.Catalog, o.Request, o.Best.Components, o.Best.Routes)
 	if err := c.env.Ledger.CommitSession(state.Owner(o.Request.ID), nodes, links); err != nil {
 		c.env.Tracer.RolledBack(o.Request.ID, o.Request.Client, obs.ReasonCommitNack)
 		return fmt.Errorf("request %d: %w", o.Request.ID, err)
@@ -409,7 +415,7 @@ func (c *Composer) CommitMigration(o *Outcome, prev int64) error {
 	if o == nil || o.Best == nil {
 		return fmt.Errorf("core: migration commit of unsuccessful outcome")
 	}
-	nodes, links := c.demands(o.Request, o.Best)
+	nodes, links := c.kernel.DemandMaps(c.env.Catalog, o.Request, o.Best.Components, o.Best.Routes)
 	if err := c.env.Ledger.MigrateSession(state.Owner(prev), state.Owner(o.Request.ID), nodes, links); err != nil {
 		c.env.Tracer.RolledBack(o.Request.ID, o.Request.Client, obs.ReasonCommitNack)
 		return fmt.Errorf("request %d: %w", o.Request.ID, err)
@@ -439,27 +445,4 @@ func (c *Composer) Release(requestID int64) {
 func (c *Composer) Abort(requestID int64) {
 	c.env.Ledger.ReleaseOwner(state.Owner(requestID))
 	c.env.Tracer.RolledBack(requestID, -1, obs.ReasonAbort)
-}
-
-// demands folds a composition into per-node resource and per-overlay-link
-// bandwidth demands. Components of the same request sharing a node stack
-// their requirements (footnote 5); virtual links sharing an overlay link
-// stack their bandwidth; co-located virtual links consume nothing
-// (footnote 4).
-func (c *Composer) demands(req *component.Request, comp *Composition) (map[int]qos.Resources, map[int]float64) {
-	nodes := make(map[int]qos.Resources)
-	for pos, id := range comp.Components {
-		node := c.env.Catalog.Component(id).Node
-		nodes[node] = nodes[node].Add(req.ResReq[pos])
-	}
-	links := make(map[int]float64)
-	for _, route := range comp.Routes {
-		if route.CoLocated {
-			continue
-		}
-		for _, link := range route.Links {
-			links[link] += req.BandwidthReq
-		}
-	}
-	return nodes, links
 }

@@ -47,29 +47,6 @@ type walkState struct {
 	maxLatency float64
 }
 
-// nodeDemand and linkDemand accumulate a composition's per-node resource
-// and per-overlay-link bandwidth demands as small dense slices. The hot
-// path scans them linearly — compositions touch a handful of nodes and
-// links, where a scan beats a map and, unlike map iteration, keeps the
-// floating-point summation order deterministic.
-type nodeDemand struct {
-	node   int
-	amount qos.Resources
-}
-
-type linkDemand struct {
-	link int
-	bw   float64
-}
-
-// rankedCand is one coarse-qualified candidate in per-hop selection.
-type rankedCand struct {
-	id   component.ComponentID
-	node int
-	risk float64
-	cong float64
-}
-
 // walkScratch holds the composer-lifetime buffers that make the probe
 // walk (near-)allocation-free in steady state. Buffers are reset, never
 // freed, so capacity amortizes across requests. The route cache is keyed
@@ -95,13 +72,8 @@ type walkScratch struct {
 	preds      [][]int         // per-position predecessor lists, rebuilt per walk
 	predFlat   []int           // backing store for preds
 	predCounts []int           // per-position indegree scratch
-	ranked     []rankedCand    // selectCandidates ranking buffer
 	selected   []component.ComponentID
 	heldLinks  []int // links newly held by the current candidate
-
-	nodeDemands []nodeDemand
-	linkDemands []linkDemand
-	residuals   []qos.Resources
 
 	evalBuf [2]Composition // double-buffered composition evaluation
 	evalIdx int
@@ -170,6 +142,7 @@ func (c *Composer) beginWalk(req *component.Request) {
 		expires: c.env.Now() + c.cfg.HoldTTL,
 		budget:  c.cfg.MaxProbesPerRequest,
 	}
+	c.view.Owner = c.walk.owner
 }
 
 // lookup resolves a function's candidates, caching per request so the
@@ -201,13 +174,7 @@ func (c *Composer) route(from, to int) overlay.Route {
 	sc := &c.scratch
 	idx := from*sc.numNodes + to
 	if !sc.routeKnown[idx] {
-		r, ok := c.env.Mesh.RouteBetween(from, to)
-		if !ok {
-			// Build keeps the overlay connected; an unreachable pair would
-			// indicate a hand-assembled mesh. Mark it infeasible.
-			r = overlay.Route{QoS: qos.Vector{Delay: math.Inf(1), LossCost: math.Inf(1)}}
-		}
-		sc.routes[idx] = r
+		sc.routes[idx] = RouteOrInfeasible(c.env.Mesh, from, to)
 		sc.routeKnown[idx] = true
 	}
 	return sc.routes[idx]
@@ -344,7 +311,7 @@ func (c *Composer) expand(out *Outcome, order []int, idx int, p hopChild) {
 // (impossible within a single probing walk, but defended regardless).
 func (c *Composer) holdComposition(comp *Composition) bool {
 	w := &c.walk
-	nodes, links := c.accumulateDemands(w.req, comp.Components, comp.Routes)
+	nodes, links := c.kernel.fold(c.env.Catalog, w.req, comp.Components, comp.Routes)
 	for i, nd := range nodes {
 		if !c.env.Ledger.HoldNode(w.owner, 0, nd.node, nd.amount, w.expires) {
 			c.rollbackComposition(nodes[:i], nil)
@@ -378,23 +345,20 @@ func (c *Composer) rollbackComposition(nodes []nodeDemand, links []linkDemand) {
 }
 
 // predecessorRoutes collects the virtual links from each already-assigned
-// predecessor of pos to the candidate node, accumulating their QoS. The
-// result slice is a shared scratch buffer: it is valid only until the
-// next predecessorRoutes call, which every caller fully consumes first.
+// predecessor of pos to the candidate node. The result slice is a shared
+// scratch buffer: it is valid only until the next predecessorRoutes
+// call, which every caller fully consumes first.
 //
 //acp:hotpath
-func (c *Composer) predecessorRoutes(pos, candNode int) ([]overlay.Route, qos.Vector) {
+func (c *Composer) predecessorRoutes(pos, candNode int) []overlay.Route {
 	sc := &c.scratch
 	routes := sc.predRoutes[:0]
-	var linkQoS qos.Vector
 	for _, pred := range sc.preds[pos] {
 		from := c.env.Catalog.Component(sc.cur[pred]).Node
-		r := c.route(from, candNode)
-		routes = append(routes, r)
-		linkQoS = linkQoS.Add(r.QoS)
+		routes = append(routes, c.route(from, candNode))
 	}
 	sc.predRoutes = routes
-	return routes, linkQoS
+	return routes
 }
 
 // extendProbe performs one hop of per-hop probe processing (§3.3 step 2)
@@ -440,8 +404,8 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 		}
 
 		cand := c.env.Catalog.Component(id)
-		routes, linkQoS := c.predecessorRoutes(pos, cand.Node)
-		acc := p.acc.Add(linkQoS).Add(cand.QoS)
+		routes := c.predecessorRoutes(pos, cand.Node)
+		acc := HopQoS(p.acc, routes, cand.QoS)
 
 		// The probe physically travels from the previous hop's node (the
 		// deputy for the source position).
@@ -477,14 +441,7 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 			tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonResources)
 			continue
 		}
-		feasible := true
-		for _, route := range routes {
-			if c.env.Ledger.RouteAvailableFor(w.owner, route) < w.req.BandwidthReq {
-				feasible = false
-				break
-			}
-		}
-		if !feasible {
+		if Bottleneck(&c.view, routes) < w.req.BandwidthReq {
 			tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonBandwidth)
 			continue
 		}
@@ -542,7 +499,7 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 
 // selectCandidates picks the M = ceil(alpha*k) next-hop candidates to
 // probe (§3.5). For Optimal every candidate is probed. For the guided
-// policies the coarse global state prefilters unqualified candidates
+// policies the kernel prefilters candidates on the coarse global state
 // (Eqs. 6-8) and ranks survivors by the risk function D (Eq. 9) and the
 // congestion function W (Eq. 10); SelectRandom (RP) picks uniformly
 // without consulting the global state. The returned slice is scratch,
@@ -555,10 +512,7 @@ func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.
 	}
 	w := &c.walk
 	sc := &c.scratch
-	m := int(math.Ceil(c.cfg.ProbingRatio * float64(len(candidates))))
-	if m < 1 {
-		m = 1
-	}
+	m := ProbeWidth(c.cfg.ProbingRatio, len(candidates))
 
 	tr := c.env.Tracer
 	if c.cfg.Selection == SelectRandom {
@@ -577,118 +531,16 @@ func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.
 		return picked[:m]
 	}
 
-	qualified := sc.ranked[:0]
+	k := &c.kernel
+	k.BeginRanking()
 	for _, id := range candidates {
 		cand := c.env.Catalog.Component(id)
-		if cand.Security < w.req.MinSecurity {
-			tr.CandidatePruned(w.req.ID, 0, p.id, pos, cand.Node, obs.ReasonSecurity)
-			continue
-		}
-		routes, linkQoS := c.predecessorRoutes(pos, cand.Node)
-
-		// Coarse-grain qualification (Eqs. 6-8) from the global state.
-		acc := p.acc.Add(linkQoS).Add(cand.QoS)
-		risk := acc.MaxRatio(w.req.QoSReq)
-		if risk > 1 {
-			tr.CandidatePruned(w.req.ID, 0, p.id, pos, cand.Node, obs.ReasonQoS)
-			continue
-		}
-		avail := c.env.Global.NodeAvailable(cand.Node)
-		if !avail.Covers(w.req.ResReq[pos]) {
-			tr.CandidatePruned(w.req.ID, 0, p.id, pos, cand.Node, obs.ReasonResources)
-			continue
-		}
-		routeBW := math.Inf(1)
-		for _, route := range routes {
-			routeBW = math.Min(routeBW, c.env.Global.RouteAvailable(route))
-		}
-		if routeBW < w.req.BandwidthReq {
-			tr.CandidatePruned(w.req.ID, 0, p.id, pos, cand.Node, obs.ReasonBandwidth)
-			continue
-		}
-
-		// Congestion function W (Eq. 10) on coarse residuals.
-		cong := qos.CongestionTerm(w.req.ResReq[pos], avail.Sub(w.req.ResReq[pos])) +
-			qos.BandwidthCongestionTerm(w.req.BandwidthReq, routeBW-w.req.BandwidthReq)
-		qualified = append(qualified, rankedCand{id: id, node: cand.Node, risk: risk, cong: cong})
-	}
-	sc.ranked = qualified
-	if len(qualified) <= m {
-		out := sc.selected[:0]
-		for i := range qualified {
-			out = append(out, qualified[i].id)
-		}
-		sc.selected = out
-		return out
-	}
-
-	// Stable insertion sort on the scratch buffer: candidate lists are a
-	// handful of entries, and this matches sort.SliceStable's behaviour
-	// at these sizes (which is insertion sort for short runs) without
-	// its interface and closure allocations.
-	for i := 1; i < len(qualified); i++ {
-		for j := i; j > 0 && c.candLess(qualified[j].risk, qualified[j].cong, qualified[j-1].risk, qualified[j-1].cong); j-- {
-			qualified[j], qualified[j-1] = qualified[j-1], qualified[j]
+		routes := c.predecessorRoutes(pos, cand.Node)
+		if reason := k.Qualify(c.env.Global, w.req, pos, id, cand, p.acc, routes); reason != "" {
+			tr.CandidatePruned(w.req.ID, 0, p.id, pos, cand.Node, reason)
 		}
 	}
-	if tr.Enabled() {
-		for _, cut := range qualified[m:] {
-			tr.CandidatePruned(w.req.ID, 0, p.id, pos, cut.node,
-				rankCutReason(c.cfg.Selection, cut.risk, qualified[m-1].risk))
-		}
-	}
-	out := sc.selected[:0]
-	for i := 0; i < m; i++ {
-		out = append(out, qualified[i].id)
-	}
-	sc.selected = out
-	return out
-}
-
-// rankCutReason attributes a ranking cut to the risk function D or the
-// congestion function W: a cut candidate whose risk differs from the last
-// admitted one's by more than the 5% similarity band lost on risk; one
-// inside the band was tie-broken by congestion.
-func rankCutReason(sel SelectionPolicy, cutRisk, lastKeptRisk float64) obs.Reason {
-	const band = 0.05
-	switch sel {
-	case SelectRiskOnly:
-		return obs.ReasonRiskRank
-	case SelectCongestionOnly:
-		return obs.ReasonCongestionRank
-	default:
-		if math.Abs(cutRisk-lastKeptRisk) > band*math.Max(cutRisk, lastKeptRisk) {
-			return obs.ReasonRiskRank
-		}
-		return obs.ReasonCongestionRank
-	}
-}
-
-// candLess compares two ranked candidates under the configured selection
-// policy. The paper compares risk values first and falls back to the
-// congestion function when risks are similar; "similar" is a 5% relative
-// band.
-//
-//acp:hotpath
-func (c *Composer) candLess(ri, ci, rj, cj float64) bool {
-	const band = 0.05
-	switch c.cfg.Selection {
-	case SelectRiskOnly:
-		return ri < rj
-	case SelectCongestionOnly:
-		return ci < cj
-	default: // SelectRiskThenCongestion
-		if math.Abs(ri-rj) > band*math.Max(ri, rj) {
-			return ri < rj
-		}
-		return ci < cj
-	}
-}
-
-// rankLess returns the comparison for the configured selection policy as
-// a standalone function (tests exercise the policy through this).
-func (c *Composer) rankLess() func(ri, ci, rj, cj float64) bool {
-	return c.candLess
+	return k.Select(c.cfg.Selection, m, tr, w.req.ID, p.id, pos)
 }
 
 // selectBest evaluates complete probes against the constraints
@@ -769,136 +621,12 @@ func (c *Composer) evaluate(assign []component.ComponentID) (*Composition, bool)
 		return nil, false
 	}
 
-	nodes, links := c.accumulateDemands(req, assign, comp.Routes)
-	owner := c.walk.owner
-	for _, nd := range nodes {
-		if !c.env.Ledger.NodeAvailableFor(owner, nd.node).Covers(nd.amount) {
-			return nil, false
-		}
+	phi, ok := c.kernel.Score(&c.view, c.cfg.Phi, c.env.Catalog, req, assign, comp.Routes)
+	if !ok {
+		return nil, false
 	}
-	for _, ld := range links {
-		if c.env.Ledger.LinkAvailableFor(owner, ld.link) < ld.bw {
-			return nil, false
-		}
-	}
-	comp.Phi = c.phi(req, assign, comp.Routes, nodes, links)
+	comp.Phi = phi
 	return comp, true
-}
-
-// accumulateDemands folds a composition into per-node resource and
-// per-overlay-link bandwidth demand slices. Components of the same
-// request sharing a node stack their requirements (footnote 5); virtual
-// links sharing an overlay link stack their bandwidth; co-located
-// virtual links consume nothing (footnote 4). The slices are scratch,
-// valid until the next call; entries appear in first-seen order, which
-// keeps every downstream float summation deterministic.
-//
-//acp:hotpath
-func (c *Composer) accumulateDemands(req *component.Request, comps []component.ComponentID, routes []overlay.Route) ([]nodeDemand, []linkDemand) {
-	sc := &c.scratch
-	nodes := sc.nodeDemands[:0]
-	for pos, id := range comps {
-		node := c.env.Catalog.Component(id).Node
-		found := false
-		for i := range nodes {
-			if nodes[i].node == node {
-				nodes[i].amount = nodes[i].amount.Add(req.ResReq[pos])
-				found = true
-				break
-			}
-		}
-		if !found {
-			nodes = append(nodes, nodeDemand{node: node, amount: req.ResReq[pos]})
-		}
-	}
-	links := sc.linkDemands[:0]
-	for _, route := range routes {
-		if route.CoLocated {
-			continue
-		}
-		for _, link := range route.Links {
-			found := false
-			for i := range links {
-				if links[i].link == link {
-					links[i].bw += req.BandwidthReq
-					found = true
-					break
-				}
-			}
-			if !found {
-				links = append(links, linkDemand{link: link, bw: req.BandwidthReq})
-			}
-		}
-	}
-	sc.nodeDemands, sc.linkDemands = nodes, links
-	return nodes, links
-}
-
-// phi computes the congestion aggregation metric (Eq. 1) for a candidate
-// assignment against owner-credited precise availability: each component
-// contributes sum_k r_k/(rr_k + r_k) with rr the node's residual after
-// ALL of this request's placements there (footnote 5), and each virtual
-// link contributes b/(rb + b) with rb the bottleneck residual bandwidth
-// after this request's reservations (0 for co-located links, footnote 8).
-//
-// Under PhiSum the sum accumulates in the exact order above — the
-// 50-seed golden parity test pins that float arithmetic bit-for-bit.
-// The fairness variants only post-process: PhiWeighted scales the sum
-// by the request's phi weight, PhiBottleneck returns the single worst
-// term tracked alongside the sum.
-//
-//acp:hotpath
-func (c *Composer) phi(req *component.Request, comps []component.ComponentID, routes []overlay.Route,
-	nodes []nodeDemand, links []linkDemand) float64 {
-
-	owner := state.Owner(req.ID)
-	sc := &c.scratch
-	residuals := sc.residuals[:0]
-	for _, nd := range nodes {
-		residuals = append(residuals, c.env.Ledger.NodeAvailableFor(owner, nd.node).Sub(nd.amount))
-	}
-	sc.residuals = residuals
-	total, worst := 0.0, 0.0
-	for pos, id := range comps {
-		node := c.env.Catalog.Component(id).Node
-		var residual qos.Resources
-		for i := range nodes {
-			if nodes[i].node == node {
-				residual = residuals[i]
-				break
-			}
-		}
-		term := qos.CongestionTerm(req.ResReq[pos], residual)
-		total += term
-		worst = math.Max(worst, term)
-	}
-	for _, route := range routes {
-		residual := math.Inf(1)
-		if !route.CoLocated {
-			for _, link := range route.Links {
-				demand := 0.0
-				for i := range links {
-					if links[i].link == link {
-						demand = links[i].bw
-						break
-					}
-				}
-				r := c.env.Ledger.LinkAvailableFor(owner, link) - demand
-				residual = math.Min(residual, r)
-			}
-		}
-		term := qos.BandwidthCongestionTerm(req.BandwidthReq, residual)
-		total += term
-		worst = math.Max(worst, term)
-	}
-	switch c.cfg.Phi {
-	case PhiWeighted:
-		return total * req.PhiWeight()
-	case PhiBottleneck:
-		return worst
-	default:
-		return total
-	}
 }
 
 // probeDirect implements the Random and Static heuristics: choose one

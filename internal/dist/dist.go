@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/component"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/harness/clock"
 	"repro/internal/obs"
@@ -543,11 +544,11 @@ func (c *Cluster) Release(req *component.Request, comp *Composition) {
 	if comp == nil {
 		return
 	}
-	demands := c.demandsOf(req, comp.Components)
-	for _, nodeID := range sortedNodeKeys(demands.nodes) {
+	nodes, links := c.SessionDemands(req, comp)
+	for _, nodeID := range sortedNodeKeys(nodes) {
 		c.sendRelease(nodeID, comp.owner)
 	}
-	c.links.release(demands.links)
+	c.links.release(links)
 	sess := strconv.FormatInt(comp.owner, 10)
 	c.ins.sessionPhi.Delete(sess)
 	c.ins.sessionQoS.Delete(sess)
@@ -642,31 +643,23 @@ func (c *Cluster) drainMailboxes() {
 	}
 }
 
-// demands aggregates a composition's per-node resource and per-link
-// bandwidth needs (footnotes 4, 5, 8 of the paper).
-type demands struct {
-	nodes map[int]qos.Resources
-	links map[int]float64
+// routes resolves a component assignment's virtual link per graph edge.
+func (c *Cluster) routes(req *component.Request, assign []component.ComponentID) []overlay.Route {
+	out := make([]overlay.Route, len(req.Graph.Edges))
+	for i, e := range req.Graph.Edges {
+		out[i] = core.RouteOrInfeasible(c.mesh, c.catalog.Component(assign[e.From]).Node, c.catalog.Component(assign[e.To]).Node)
+	}
+	return out
 }
 
-func (c *Cluster) demandsOf(req *component.Request, assign []component.ComponentID) demands {
-	d := demands{nodes: make(map[int]qos.Resources), links: make(map[int]float64)}
-	for pos, id := range assign {
-		nodeID := c.catalog.Component(id).Node
-		d.nodes[nodeID] = d.nodes[nodeID].Add(req.ResReq[pos])
+// hopRoutes returns the virtual links from pos's assigned predecessors
+// to host, the candidate hop's node.
+func (c *Cluster) hopRoutes(req *component.Request, pos int, assign []component.ComponentID, host int) []overlay.Route {
+	var out []overlay.Route
+	for _, pred := range req.Graph.Predecessors(pos) {
+		out = append(out, core.RouteOrInfeasible(c.mesh, c.catalog.Component(assign[pred]).Node, host))
 	}
-	for _, e := range req.Graph.Edges {
-		from := c.catalog.Component(assign[e.From]).Node
-		to := c.catalog.Component(assign[e.To]).Node
-		route, ok := c.mesh.RouteBetween(from, to)
-		if !ok || route.CoLocated {
-			continue
-		}
-		for _, link := range route.Links {
-			d.links[link] += req.BandwidthReq
-		}
-	}
-	return d
+	return out
 }
 
 // linkTable is the bandwidth state of every overlay link. Each entry is
@@ -697,21 +690,6 @@ func (t *linkTable) linkAvailable(id int) float64 {
 	a := t.available[id]
 	t.mu[id].Unlock()
 	return a
-}
-
-// routeAvailable returns the bottleneck availability along a route.
-func (t *linkTable) routeAvailable(route overlay.Route) float64 {
-	if route.CoLocated {
-		return math.Inf(1)
-	}
-	avail := math.Inf(1)
-	for _, id := range route.Links {
-		t.mu[id].Lock()
-		a := t.available[id]
-		t.mu[id].Unlock()
-		avail = math.Min(avail, a)
-	}
-	return avail
 }
 
 // reserve atomically acquires bandwidth on every link or none.

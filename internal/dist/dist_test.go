@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -368,5 +369,45 @@ func TestHoldsExpire(t *testing.T) {
 	}
 	if !c.AwaitIdle(5 * time.Second) {
 		t.Error("transient holds survived their TTL")
+	}
+}
+
+// TestComposeCoLocatedDemandFoldedOnce pins footnote 5 on the
+// distributed engine: with every candidate of both functions on one
+// node, the residual behind each position is capacity minus the
+// request's total demand there, counted once. Each position contributes
+// r/(100-2r+r) on CPU and the same on memory; the co-located virtual
+// link contributes nothing (footnote 8).
+func TestComposeCoLocatedDemandFoldedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		cpu  float64
+		want float64
+	}{
+		{cpu: 30, want: 4 * 30.0 / 70},
+		{cpu: 40, want: 4 * 40.0 / 60},
+	} {
+		t.Run(fmt.Sprintf("cpu=%v", tc.cpu), func(t *testing.T) {
+			c := testCluster(t)
+			const host = 5
+			for _, f := range []component.FunctionID{0, 1} {
+				for _, id := range c.catalog.Candidates(f) {
+					if err := c.catalog.Move(id, host); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			req := easyRequest(3)
+			req.Graph = component.NewPathGraph([]component.FunctionID{0, 1})
+			res := qos.Resources{CPU: tc.cpu, Memory: 10 * tc.cpu}
+			req.ResReq = []qos.Resources{res, res}
+			comp, err := c.Compose(req)
+			if err != nil {
+				t.Fatalf("co-located request rejected: %v", err)
+			}
+			if math.Abs(comp.Phi-tc.want) > 1e-9 {
+				t.Errorf("phi = %v, want %v", comp.Phi, tc.want)
+			}
+			c.Release(req, comp)
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/component"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/qos"
@@ -40,8 +41,10 @@ type probeMsg struct {
 	chosen component.ComponentID
 	assign []component.ComponentID // positions order[0..idx-1] filled
 	acc    qos.Vector
-	avails []qos.Resources // availability observed at each assigned node
-	alpha  float64         // probing ratio of this attempt
+	// avails is each assigned host's availability for the request as
+	// the probe saw it (own holds credited back), in probe order.
+	avails []qos.Resources
+	alpha  float64 // probing ratio of this attempt
 }
 
 // returnMsg carries a complete probed composition back to the deputy
@@ -144,7 +147,29 @@ type node struct {
 	lastReported qos.Resources
 	pending      map[int64]*pendingCompose
 	down         bool // inside a scheduled outage
+	// kernel is the node's composition-scoring scratch (candidate
+	// ranking, Eq. 1); only the node's own goroutine touches it.
+	kernel core.Kernel
 }
+
+// nodeView is what a node knows of the cluster, as a kernel state view:
+// the coarse availability of every node from state broadcasts (§3.2)
+// and the live link table.
+type nodeView node
+
+func (v *nodeView) NodeAvailable(id int) qos.Resources { return v.view[id] }
+func (v *nodeView) LinkAvailable(link int) float64     { return v.c.links.linkAvailable(link) }
+
+// snapshotView is the precise state a returned probe carries: each
+// host's availability for the request when the probe passed it (a host
+// visited twice keeps its later snapshot), and the live link table.
+type snapshotView struct {
+	links *linkTable
+	avail map[int]qos.Resources
+}
+
+func (v snapshotView) NodeAvailable(id int) qos.Resources { return v.avail[id] }
+func (v snapshotView) LinkAvailable(link int) float64     { return v.links.linkAvailable(link) }
 
 func newNode(c *Cluster, id int, rng *rand.Rand) *node {
 	n := &node{
@@ -494,20 +519,36 @@ func (n *node) onCompose(msg composeMsg) {
 // fanOut selects candidates for position order[idx] and sends one probe
 // to each chosen candidate's host, returning how many were sent. parent
 // is the span of the probe being extended (0 at the deputy's first hop);
-// selection prunes are attributed to it.
+// selection prunes are attributed to it. Selection is §3.5 under this
+// node's coarse view, with the paper's risk-then-congestion ranking.
 func (n *node) fanOut(req *component.Request, order []int, idx int,
 	assign []component.ComponentID, acc qos.Vector, avails []qos.Resources,
 	alpha float64, parent int64) int {
 
-	selected := n.selectCandidates(req, order, idx, assign, acc, alpha, parent)
+	pos := order[idx]
 	tr := n.c.tracer
+	candidates := n.c.catalog.Candidates(req.Graph.Functions[pos])
+	k := &n.kernel
+	k.BeginRanking()
+	for _, id := range candidates {
+		if !n.c.catalog.Usable(id) {
+			continue
+		}
+		cand := n.c.catalog.Component(id)
+		routes := n.c.hopRoutes(req, pos, assign, cand.Node)
+		if reason := k.Qualify((*nodeView)(n), req, pos, id, cand, acc, routes); reason != "" {
+			tr.CandidatePruned(req.ID, 0, parent, pos, cand.Node, reason)
+		}
+	}
+	selected := k.Select(core.SelectRiskThenCongestion, core.ProbeWidth(alpha, len(candidates)), tr, req.ID, parent, pos)
+
 	sent := 0
 	for _, id := range selected {
 		host := n.c.catalog.Component(id).Node
 		var pid int64
 		if tr.Enabled() {
 			pid = tr.NextProbeID()
-			tr.ProbeSpawned(req.ID, pid, order[idx], host, acc.Delay)
+			tr.ProbeSpawned(req.ID, pid, pos, host, acc.Delay)
 		}
 		msg := probeMsg{
 			req:    req,
@@ -524,110 +565,11 @@ func (n *node) fanOut(req *component.Request, order []int, idx int,
 			sent++
 			n.c.ins.probesSent.Inc()
 		} else {
-			tr.ProbeDropped(req.ID, pid, order[idx], host, obs.ReasonMailbox)
+			tr.ProbeDropped(req.ID, pid, pos, host, obs.ReasonMailbox)
 			n.c.ins.probesDropped.Inc()
 		}
 	}
 	return sent
-}
-
-// selectCandidates applies §3.5 under this node's coarse view: filter by
-// the QoS risk bound and the view's resource/bandwidth states, rank by
-// risk then congestion, and keep ceil(alpha*k).
-func (n *node) selectCandidates(req *component.Request, order []int, idx int,
-	assign []component.ComponentID, acc qos.Vector, alpha float64, parent int64) []component.ComponentID {
-
-	pos := order[idx]
-	candidates := n.c.catalog.Candidates(req.Graph.Functions[pos])
-	if len(candidates) == 0 {
-		return nil
-	}
-	m := int(math.Ceil(alpha * float64(len(candidates))))
-	if m < 1 {
-		m = 1
-	}
-
-	tr := n.c.tracer
-	type ranked struct {
-		id   component.ComponentID
-		node int
-		risk float64
-		cong float64
-	}
-	var qualified []ranked
-	for _, id := range candidates {
-		cand := n.c.catalog.Component(id)
-		if !n.c.catalog.Usable(id) {
-			continue
-		}
-		if cand.Security < req.MinSecurity {
-			tr.CandidatePruned(req.ID, 0, parent, pos, cand.Node, obs.ReasonSecurity)
-			continue
-		}
-		linkQoS, routeBW := n.predecessorLinks(req, pos, assign, cand.Node)
-		candAcc := acc.Add(linkQoS).Add(cand.QoS)
-		risk := candAcc.MaxRatio(req.QoSReq)
-		if risk > 1 {
-			tr.CandidatePruned(req.ID, 0, parent, pos, cand.Node, obs.ReasonQoS)
-			continue
-		}
-		avail := n.view[cand.Node]
-		if !avail.Covers(req.ResReq[pos]) {
-			tr.CandidatePruned(req.ID, 0, parent, pos, cand.Node, obs.ReasonResources)
-			continue
-		}
-		if routeBW < req.BandwidthReq {
-			tr.CandidatePruned(req.ID, 0, parent, pos, cand.Node, obs.ReasonBandwidth)
-			continue
-		}
-		cong := qos.CongestionTerm(req.ResReq[pos], avail.Sub(req.ResReq[pos])) +
-			qos.BandwidthCongestionTerm(req.BandwidthReq, routeBW-req.BandwidthReq)
-		qualified = append(qualified, ranked{id: id, node: cand.Node, risk: risk, cong: cong})
-	}
-	const band = 0.05
-	if len(qualified) > m {
-		sort.SliceStable(qualified, func(i, j int) bool {
-			ri, rj := qualified[i].risk, qualified[j].risk
-			if math.Abs(ri-rj) > band*math.Max(ri, rj) {
-				return ri < rj
-			}
-			return qualified[i].cong < qualified[j].cong
-		})
-		if tr.Enabled() {
-			for _, cut := range qualified[m:] {
-				reason := obs.ReasonCongestionRank
-				if math.Abs(cut.risk-qualified[m-1].risk) > band*math.Max(cut.risk, qualified[m-1].risk) {
-					reason = obs.ReasonRiskRank
-				}
-				tr.CandidatePruned(req.ID, 0, parent, pos, cut.node, reason)
-			}
-		}
-		qualified = qualified[:m]
-	}
-	out := make([]component.ComponentID, len(qualified))
-	for i, q := range qualified {
-		out[i] = q.id
-	}
-	return out
-}
-
-// predecessorLinks aggregates the virtual links from the already-chosen
-// predecessors of pos to the candidate host.
-func (n *node) predecessorLinks(req *component.Request, pos int,
-	assign []component.ComponentID, host int) (qos.Vector, float64) {
-
-	var linkQoS qos.Vector
-	routeBW := math.Inf(1)
-	for _, pred := range req.Graph.Predecessors(pos) {
-		from := n.c.catalog.Component(assign[pred]).Node
-		route, ok := n.c.mesh.RouteBetween(from, host)
-		if !ok {
-			return qos.Vector{Delay: math.Inf(1)}, 0
-		}
-		linkQoS = linkQoS.Add(route.QoS)
-		routeBW = math.Min(routeBW, n.c.links.routeAvailable(route))
-	}
-	return linkQoS, routeBW
 }
 
 // onProbe performs per-hop probe processing for the candidate this node
@@ -645,8 +587,8 @@ func (n *node) onProbe(msg probeMsg) {
 	gpos := order[pos]
 	cand := n.c.catalog.Component(msg.chosen)
 
-	linkQoS, routeBW := n.predecessorLinks(req, gpos, msg.assign, n.id)
-	acc := msg.acc.Add(linkQoS).Add(cand.QoS)
+	routes := n.c.hopRoutes(req, gpos, msg.assign, n.id)
+	acc := core.HopQoS(msg.acc, routes, cand.QoS)
 
 	// Precise conformance (Eqs. 6-8) against this node's own state; drop
 	// unqualified probes immediately.
@@ -662,7 +604,7 @@ func (n *node) onProbe(msg probeMsg) {
 		tr.CandidatePruned(req.ID, msg.probe, 0, gpos, n.id, obs.ReasonResources)
 		return
 	}
-	if routeBW < req.BandwidthReq {
+	if core.Bottleneck((*nodeView)(n), routes) < req.BandwidthReq {
 		tr.CandidatePruned(req.ID, msg.probe, 0, gpos, n.id, obs.ReasonBandwidth)
 		return
 	}
@@ -674,7 +616,7 @@ func (n *node) onProbe(msg probeMsg) {
 
 	assign := append([]component.ComponentID(nil), msg.assign...)
 	assign[gpos] = msg.chosen
-	avails := append(append([]qos.Resources(nil), msg.avails...), n.available())
+	avails := append(append([]qos.Resources(nil), msg.avails...), n.availableFor(req.ID))
 
 	if msg.idx == len(order)-1 {
 		if n.c.deliver(msg.deputy, returnMsg{
@@ -715,17 +657,14 @@ func (n *node) onDecide(reqID int64) {
 	p.decided = true
 	n.c.ins.collectMs.Observe(float64(n.c.clock.Since(p.composeStart)) / float64(time.Millisecond))
 
-	var (
-		best    *Composition
-		bestDem demands
-	)
+	var best *Composition
 	for _, ret := range p.returns {
-		comp, dem, ok := n.evaluateReturn(p.req, ret)
+		comp, ok := n.evaluateReturn(p, ret)
 		if !ok {
 			continue
 		}
 		if best == nil || comp.Phi < best.Phi {
-			best, bestDem = comp, dem
+			best = comp
 		}
 	}
 	if best == nil {
@@ -739,7 +678,8 @@ func (n *node) onDecide(reqID int64) {
 
 	// Commit phase: bandwidth first (atomic all-or-nothing), then the
 	// per-node resource confirmations.
-	if !n.c.links.reserve(bestDem.links) {
+	nodeDemand, linkDemand := n.c.SessionDemands(p.req, best)
+	if !n.c.links.reserve(linkDemand) {
 		delete(n.pending, reqID)
 		n.c.tracer.RolledBack(reqID, n.id, obs.ReasonBandwidth)
 		n.c.ins.rollbacks.Inc()
@@ -748,10 +688,10 @@ func (n *node) onDecide(reqID int64) {
 	}
 	p.comp = best
 	p.commitStart = n.c.clock.Now()
-	p.linkDemand = bestDem.links
-	p.nodeDemand = bestDem.nodes
-	p.needAcks = make(map[int]bool, len(bestDem.nodes))
-	for nodeID := range bestDem.nodes {
+	p.linkDemand = linkDemand
+	p.nodeDemand = nodeDemand
+	p.needAcks = make(map[int]bool, len(nodeDemand))
+	for nodeID := range nodeDemand {
 		p.needAcks[nodeID] = false
 	}
 	n.startCommit(reqID, p)
@@ -790,67 +730,27 @@ func (n *node) startCommit(reqID int64, p *pendingCompose) {
 }
 
 // evaluateReturn checks a returned composition against the constraints
-// and computes phi from the precise states the probe collected.
-func (n *node) evaluateReturn(req *component.Request, ret returnMsg) (*Composition, demands, bool) {
-	if ret.acc.MaxRatio(req.QoSReq) > 1 {
-		return nil, demands{}, false
+// (Eqs. 3-5) and scores it with Eq. 1 from the precise states the probe
+// collected, under the paper's PhiSum objective.
+func (n *node) evaluateReturn(p *pendingCompose, ret returnMsg) (*Composition, bool) {
+	req := p.req
+	if ret.acc.MaxRatio(req.QoSReq) > 1 || len(ret.avails) != len(p.order) {
+		return nil, false
 	}
-	dem := n.c.demandsOf(req, ret.assign)
-	order, err := req.Graph.TopoOrder()
-	if err != nil || len(ret.avails) != len(order) {
-		return nil, demands{}, false
+	view := snapshotView{links: n.c.links, avail: make(map[int]qos.Resources, len(p.order))}
+	for i, gpos := range p.order {
+		view.avail[n.c.catalog.Component(ret.assign[gpos]).Node] = ret.avails[i]
 	}
-
-	// Node congestion terms from the availability snapshots the probe
-	// carried back; multiple placements on one node share the residual
-	// after the total demand (footnote 5).
-	availAt := make(map[int]qos.Resources, len(dem.nodes))
-	for i, gpos := range order {
-		host := n.c.catalog.Component(ret.assign[gpos]).Node
-		availAt[host] = ret.avails[i]
-	}
-	phi := 0.0
-	for _, gpos := range order {
-		host := n.c.catalog.Component(ret.assign[gpos]).Node
-		// The snapshot was taken right after the probe placed this
-		// position's own hold, so it already excludes this placement;
-		// subtract the rest of the request's demand on the same host to
-		// get the residual after all placements (footnote 5).
-		residual := availAt[host].Sub(dem.nodes[host]).Add(req.ResReq[gpos])
-		if !residual.NonNegative() {
-			return nil, demands{}, false
-		}
-		phi += qos.CongestionTerm(req.ResReq[gpos], residual)
-	}
-	for _, e := range req.Graph.Edges {
-		from := n.c.catalog.Component(ret.assign[e.From]).Node
-		to := n.c.catalog.Component(ret.assign[e.To]).Node
-		route, ok := n.c.mesh.RouteBetween(from, to)
-		if !ok {
-			return nil, demands{}, false
-		}
-		residual := math.Inf(1)
-		if !route.CoLocated {
-			// The residual is what each link has left after ALL of this
-			// request's reservations on it (footnote 8): edges sharing
-			// an overlay link stack their bandwidth, which is also what
-			// the commit-phase reserve will need to find available.
-			for _, link := range route.Links {
-				r := n.c.links.linkAvailable(link) - dem.links[link]
-				if r < 0 {
-					return nil, demands{}, false
-				}
-				residual = math.Min(residual, r)
-			}
-		}
-		phi += qos.BandwidthCongestionTerm(req.BandwidthReq, residual)
+	phi, ok := n.kernel.Score(view, core.PhiSum, n.c.catalog, req, ret.assign, n.c.routes(req, ret.assign))
+	if !ok {
+		return nil, false
 	}
 	return &Composition{
 		Components: ret.assign,
 		Phi:        phi,
 		QoS:        ret.acc,
 		owner:      req.ID,
-	}, dem, true
+	}, true
 }
 
 // onCommit promotes the owner's transient holds into a committed

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/component"
+	"repro/internal/core"
 	"repro/internal/overlay"
 	"repro/internal/qos"
 )
@@ -208,8 +209,8 @@ func (c *Cluster) Catalog() *component.Catalog { return c.catalog }
 // demand of a composition for the given request — what commit placed
 // and release must return.
 func (c *Cluster) SessionDemands(req *component.Request, comp *Composition) (nodes map[int]qos.Resources, links map[int]float64) {
-	d := c.demandsOf(req, comp.Components)
-	return d.nodes, d.links
+	var k core.Kernel
+	return k.DemandMaps(c.catalog, req, comp.Components, c.routes(req, comp.Components))
 }
 
 // Owner reports the internal request identity a composition was

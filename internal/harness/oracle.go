@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -28,9 +29,20 @@ const phiSlack = 1e-6
 //   - admission parity: dist admits iff the exhaustive search finds a
 //     qualified composition;
 //   - the phi bound (Eq. 1): dist's chosen composition never beats the
-//     exhaustive optimum.
+//     exhaustive optimum;
+//   - phi agreement: dist's phi equals the kernel's Eq. 1 re-score of
+//     the same assignment on the oracle ledger.
+//
+// Identical states need one step from the driver. Core releases all of
+// a request's transient holds at its decision, while dist leaves the
+// holds of losing probes to expire after HoldTTL, which outlives the
+// gap between requests; those holds shrink what the next request's
+// probes see. The driver therefore settles the cluster (Sim.Settle)
+// before each oracle-checked request.
 type Oracle struct {
 	composer *core.Composer
+	ledger   *state.Ledger
+	kernel   core.Kernel
 	mesh     *overlay.Mesh
 	catalog  *component.Catalog
 }
@@ -68,14 +80,14 @@ func NewOracle(s *Sim) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Oracle{composer: composer, mesh: mesh, catalog: catalog}, nil
+	return &Oracle{composer: composer, ledger: ledger, mesh: mesh, catalog: catalog}, nil
 }
 
 // Check replays one resolved request through the exhaustive composer
-// and verifies admission parity and the phi bound, then folds the dist
-// engine's actual decision into the oracle ledger so both systems
-// enter the next request with identical committed state. comp is nil
-// when dist rejected the request.
+// and verifies admission parity, the phi bound and phi agreement, then
+// folds the dist engine's actual decision into the oracle ledger so
+// both systems enter the next request with identical committed state.
+// comp is nil when dist rejected the request.
 func (o *Oracle) Check(req *component.Request, owner int64, comp *dist.Composition) error {
 	r := *req
 	r.ID = owner
@@ -103,6 +115,15 @@ func (o *Oracle) Check(req *component.Request, owner int64, comp *dist.Compositi
 	cc, err := o.lift(&r, comp)
 	if err != nil {
 		return err
+	}
+	view := core.LedgerView{Ledger: o.ledger, Owner: state.Owner(owner)}
+	phi, ok := o.kernel.Score(&view, core.PhiSum, o.catalog, &r, cc.Components, cc.Routes)
+	if !ok {
+		return fmt.Errorf("request %d: dist admitted a composition the oracle ledger cannot hold (Eqs. 4-5)", owner)
+	}
+	if math.Abs(comp.Phi-phi) > phiSlack {
+		return fmt.Errorf("request %d: dist phi %v differs from the Eq. 1 re-score %v of the same assignment",
+			owner, comp.Phi, phi)
 	}
 	if err := o.composer.Commit(&core.Outcome{Request: &r, Best: cc}); err != nil {
 		return fmt.Errorf("oracle commit of dist composition for request %d: %w", owner, err)

@@ -99,6 +99,14 @@ func RunScenario(sc ScenarioConfig) (*Report, error) {
 	var outcomes []SessionOutcome
 	live := make(map[int64]int) // owner -> outcomes index
 	for i := 0; i < sc.Requests; i++ {
+		if oracle != nil {
+			// Expire the previous request's losing-probe holds so dist
+			// and the oracle enter this request with identical state
+			// (see Oracle).
+			if err := s.Settle(); err != nil {
+				return fail(fmt.Errorf("seed %d: %w", sc.Seed, err))
+			}
+		}
 		req := randomRequest(wrng, cfg)
 		handle, err := s.Cluster.ComposeAsync(req)
 		if err != nil {

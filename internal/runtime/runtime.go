@@ -216,6 +216,7 @@ type Cluster struct {
 	ledger    *state.Ledger
 	global    *state.Global
 	composer  *core.Composer
+	kernel    core.Kernel // observedPhi scratch
 	rng       *rand.Rand
 	functions map[component.FunctionID]ProcessorFunc
 	sessions  map[SessionID]*session
@@ -594,6 +595,7 @@ func (c *Cluster) Recompose(id SessionID) error {
 		BandwidthReq: prev.BandwidthReq,
 		Client:       prev.Client, // the client endpoint does not move
 		Duration:     prev.Duration,
+		Weight:       prev.Weight, // the phi objective keeps the session's weight
 	}
 	bound := s.requiredPhi * (1 + c.adaptTol)
 	start := c.now()
@@ -655,27 +657,36 @@ func (c *Cluster) RefreshSessionGauges() {
 	}
 }
 
-// observedPhi aggregates the session's congestion metric phi (Eq. 1)
-// from the ledger's current committed residuals. The ledger residual
-// already excludes this session's own committed demand, matching the
-// post-placement residual rr of Eq. 1. Caller holds c.mu.
+// observedPhi scores the session's composition with Eq. 1, under the
+// cluster's phi mode, against the ledger's current committed residuals:
+// the residual after the session's own committed demand, matching the
+// post-placement residual rr of Eq. 1. A residual driven negative (a
+// node's capacity cut below its commitments) scores +Inf. Caller holds
+// c.mu.
 func (c *Cluster) observedPhi(s *session) float64 {
-	req := s.request
-	phi := 0.0
-	for pos, cid := range s.comp.Components {
-		node := c.catalog.Component(cid).Node
-		phi += qos.CongestionTerm(req.ResReq[pos], c.ledger.NodeCommittedAvailable(node))
-	}
-	for _, route := range s.comp.Routes {
-		residual := math.Inf(1)
-		if !route.CoLocated {
-			for _, link := range route.Links {
-				residual = math.Min(residual, c.ledger.LinkCommittedAvailable(link))
-			}
-		}
-		phi += qos.BandwidthCongestionTerm(req.BandwidthReq, residual)
+	view := committedView{ledger: c.ledger, owner: state.Owner(s.request.ID)}
+	phi, ok := c.kernel.Score(view, c.cfg.Phi, c.catalog, s.request, s.comp.Components, s.comp.Routes)
+	if !ok {
+		return math.Inf(1)
 	}
 	return phi
+}
+
+// committedView is the ledger's committed state seen by one live
+// session: committed availability with the session's own committed
+// share credited back, which the kernel subtracts again as the
+// session's demand.
+type committedView struct {
+	ledger *state.Ledger
+	owner  state.Owner
+}
+
+func (v committedView) NodeAvailable(node int) qos.Resources {
+	return v.ledger.NodeCommittedAvailableFor(v.owner, node)
+}
+
+func (v committedView) LinkAvailable(link int) float64 {
+	return v.ledger.LinkCommittedAvailableFor(v.owner, link)
 }
 
 // Composition describes a session's composed component graph.

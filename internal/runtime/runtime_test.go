@@ -3,11 +3,13 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/component"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/qos"
 )
@@ -704,5 +706,40 @@ func TestSessionGaugesLifecycle(t *testing.T) {
 		if _, ok := find(vec); ok {
 			t.Errorf("%s{%s} survived Close", vec, sess)
 		}
+	}
+}
+
+// TestObservedPhiFollowsPhiMode checks the session audit scores with the
+// cluster's objective: on an idle cluster nothing has moved since
+// admission, so the observed phi must equal the admission-time bound
+// under every mode, including a weighted session.
+func TestObservedPhiFollowsPhiMode(t *testing.T) {
+	for _, mode := range []core.PhiMode{core.PhiSum, core.PhiWeighted, core.PhiBottleneck} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.IPNodes = 256
+			cfg.OverlayNodes = 32
+			cfg.NumFunctions = 8
+			cfg.Phi = mode
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Shutdown)
+			qosReq, resReq, bw := easyArgs(3)
+			if _, err := c.FindApp(FindRequest{
+				Weight:        2,
+				Graph:         component.NewPathGraph([]component.FunctionID{0, 1, 2}),
+				QoSReq:        qosReq,
+				ResReq:        resReq,
+				BandwidthKbps: bw,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			audit := c.AuditSessions()[0]
+			if math.Abs(audit.ObservedPhi-audit.RequiredPhi) > 1e-9 {
+				t.Errorf("observed phi %v, required %v", audit.ObservedPhi, audit.RequiredPhi)
+			}
+		})
 	}
 }

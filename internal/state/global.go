@@ -193,20 +193,12 @@ func (g *Global) NodeAvailable(node int) qos.Resources {
 	return g.nodeView[node]
 }
 
-// RouteAvailable returns the coarse-grain available bandwidth of a
-// virtual link: the bottleneck over the aggregation snapshot of its
-// constituent overlay links, +Inf when co-located.
-func (g *Global) RouteAvailable(r overlay.Route) float64 {
-	if r.CoLocated {
-		return math.Inf(1)
-	}
+// LinkAvailable returns the coarse-grain available bandwidth of an
+// overlay link: its value in the latest aggregation snapshot.
+func (g *Global) LinkAvailable(link int) float64 {
 	g.rlock()
 	defer g.runlock()
-	avail := math.Inf(1)
-	for _, id := range r.Links {
-		avail = math.Min(avail, g.aggView[id])
-	}
-	return avail
+	return g.aggView[link]
 }
 
 // ForceRefresh resets every reported value to the current truth, as if

@@ -1,12 +1,10 @@
 package state
 
 import (
-	"math"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/overlay"
 	"repro/internal/qos"
 )
 
@@ -73,30 +71,21 @@ func TestGlobalLinkThresholdAndAggregation(t *testing.T) {
 	g, l, _, c := newTestGlobal(t)
 	capacity := l.LinkCapacity(0)
 
-	// Drain 50% of link 0: triggers a report, but virtual-link queries
-	// still see the stale aggregation snapshot.
+	// Drain 50% of link 0: triggers a report, but link queries still see
+	// the stale aggregation snapshot.
 	if err := l.CommitSession(1, nil, map[int]float64{0: capacity / 2}); err != nil {
 		t.Fatal(err)
 	}
 	if c.StateUpdates != 1 {
 		t.Fatalf("StateUpdates = %d, want 1", c.StateUpdates)
 	}
-	lk := g.mesh.Link(0)
-	route, ok := g.mesh.RouteBetween(lk.A, lk.B)
-	if !ok {
-		t.Fatal("no route between link endpoints")
-	}
-	// The direct route may or may not use link 0; query it via a
-	// hand-built route to pin the link.
-	pinned := route
-	pinned.Links = []int{0}
-	if got := g.RouteAvailable(pinned); got != capacity {
-		t.Errorf("pre-aggregation RouteAvailable = %v, want stale %v", got, capacity)
+	if got := g.LinkAvailable(0); got != capacity {
+		t.Errorf("pre-aggregation LinkAvailable = %v, want stale %v", got, capacity)
 	}
 
 	g.Aggregate()
-	if got := g.RouteAvailable(pinned); got != capacity/2 {
-		t.Errorf("post-aggregation RouteAvailable = %v, want %v", got, capacity/2)
+	if got := g.LinkAvailable(0); got != capacity/2 {
+		t.Errorf("post-aggregation LinkAvailable = %v, want %v", got, capacity/2)
 	}
 	if c.Aggregations != int64(g.mesh.NumNodes()) {
 		t.Errorf("Aggregations = %d, want %d", c.Aggregations, g.mesh.NumNodes())
@@ -161,16 +150,7 @@ func TestForceRefresh(t *testing.T) {
 	if got := g.NodeAvailable(0).CPU; got != 95 {
 		t.Errorf("CPU after refresh = %v, want 95", got)
 	}
-	route := overlay.Route{Links: []int{0}}
-	if got := g.RouteAvailable(route); got != l.LinkCapacity(0)-1 {
+	if got := g.LinkAvailable(0); got != l.LinkCapacity(0)-1 {
 		t.Errorf("link view after refresh = %v, want %v", got, l.LinkCapacity(0)-1)
-	}
-}
-
-func TestRouteAvailableCoLocated(t *testing.T) {
-	g, _, _, _ := newTestGlobal(t)
-	r, _ := g.mesh.RouteBetween(4, 4)
-	if got := g.RouteAvailable(r); !math.IsInf(got, 1) {
-		t.Errorf("co-located RouteAvailable = %v, want +Inf", got)
 	}
 }

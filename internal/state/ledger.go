@@ -236,6 +236,15 @@ func (l *Ledger) nodeCommittedAvailable(node int) qos.Resources {
 	return n.capacity.Sub(n.committed)
 }
 
+// NodeCommittedAvailableFor is NodeCommittedAvailable from a committed
+// session's perspective: owner's own committed share on the node is
+// credited back.
+func (l *Ledger) NodeCommittedAvailableFor(owner Owner, node int) qos.Resources {
+	l.lock()
+	defer l.unlock()
+	return l.nodeCommittedAvailable(node).Add(l.sessions[owner].nodes[node])
+}
+
 // LinkAvailable returns the link's precise available bandwidth.
 func (l *Ledger) LinkAvailable(link int) float64 {
 	l.lock()
@@ -260,6 +269,14 @@ func (l *Ledger) LinkCommittedAvailable(link int) float64 {
 func (l *Ledger) linkCommittedAvailable(link int) float64 {
 	lk := &l.links[link]
 	return lk.capacity - lk.committed
+}
+
+// LinkCommittedAvailableFor is LinkCommittedAvailable with owner's own
+// committed bandwidth on the link credited back.
+func (l *Ledger) LinkCommittedAvailableFor(owner Owner, link int) float64 {
+	l.lock()
+	defer l.unlock()
+	return l.linkCommittedAvailable(link) + l.sessions[owner].links[link]
 }
 
 // RouteAvailable returns the precise available bandwidth of a virtual
@@ -421,21 +438,6 @@ func (l *Ledger) linkAvailableFor(owner Owner, link int) float64 {
 	}
 	if credit, ok := l.migrationLinkCredit(owner, link); ok {
 		avail += credit
-	}
-	return avail
-}
-
-// RouteAvailableFor returns the virtual link's available bandwidth with
-// owner's own holds credited back on every constituent overlay link.
-func (l *Ledger) RouteAvailableFor(owner Owner, r overlay.Route) float64 {
-	if r.CoLocated {
-		return math.Inf(1)
-	}
-	l.lock()
-	defer l.unlock()
-	avail := math.Inf(1)
-	for _, id := range r.Links {
-		avail = math.Min(avail, l.linkAvailableFor(owner, id))
 	}
 	return avail
 }
