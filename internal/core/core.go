@@ -252,8 +252,9 @@ func (o *Outcome) Success() bool { return o.Best != nil }
 // A Composer is NOT safe for concurrent use: the probe walk reuses
 // composer-lifetime scratch buffers (route cache, candidate cache,
 // ranking and demand accumulators) to stay allocation-free in steady
-// state. Concurrent drivers must build one composer per worker over the
-// shared environment and enable locking on the ledger and global state.
+// state. Like the ledger and global state it reads, it is driven from
+// one goroutine at a time: the runtime holds Cluster.mu around every
+// call, and the simulator is single-threaded.
 type Composer struct {
 	env Env
 	cfg Config

@@ -244,4 +244,29 @@ func TestBottleneckCoLocated(t *testing.T) {
 	if got := Bottleneck(view, []overlay.Route{colocated, {Links: []int{1, 2}}}); got != 30 {
 		t.Errorf("bottleneck = %v, want 30", got)
 	}
+
+	// Over a live ledger: the least link of a multi-link route, then the
+	// drained link once a commit takes all but 10 kbps of it.
+	env, _ := testEnv(t, 1)
+	var r overlay.Route
+	for to := 1; to < env.Mesh.NumNodes() && len(r.Links) < 2; to++ {
+		r, _ = env.Mesh.RouteBetween(0, to)
+	}
+	if len(r.Links) < 2 {
+		t.Fatal("no multi-link route from node 0")
+	}
+	want := math.Inf(1)
+	for _, id := range r.Links {
+		want = math.Min(want, env.Ledger.LinkAvailable(id))
+	}
+	if got := Bottleneck(env.Ledger, []overlay.Route{r}); got != want {
+		t.Errorf("ledger bottleneck = %v, want %v", got, want)
+	}
+	first := r.Links[0]
+	if err := env.Ledger.CommitSession(1, nil, map[int]float64{first: env.Ledger.LinkAvailable(first) - 10}); err != nil {
+		t.Fatal(err)
+	}
+	if got := Bottleneck(env.Ledger, []overlay.Route{r}); got != 10 {
+		t.Errorf("ledger bottleneck after drain = %v, want 10", got)
+	}
 }

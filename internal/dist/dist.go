@@ -143,7 +143,7 @@ type instruments struct {
 	commits       *obs.Counter
 	rollbacks     *obs.Counter
 	noComposition *obs.Counter
-	probeDelayMs  *obs.Histogram
+	probeDelayMs  *obs.QHistogram
 
 	faultDrops     *obs.Counter
 	faultDelays    *obs.Counter
@@ -177,7 +177,7 @@ func newInstruments(r *obs.Registry) instruments {
 		commits:       r.Counter("dist.commits"),
 		rollbacks:     r.Counter("dist.rollbacks"),
 		noComposition: r.Counter("dist.no_composition"),
-		probeDelayMs:  r.Histogram("dist.probe.delay_ms", []float64{1, 2, 5, 10, 25, 50, 100, 250}),
+		probeDelayMs:  r.QHistogram("dist.probe.delay_ms"),
 
 		faultDrops:     r.Counter("dist.faults.dropped"),
 		faultDelays:    r.Counter("dist.faults.delayed"),

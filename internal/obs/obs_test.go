@@ -33,42 +33,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-// TestHistogramBucketBoundaries pins the v <= bound bucket semantics,
-// including exact-boundary observations and overflow.
-func TestHistogramBucketBoundaries(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []float64{10, 50, 100})
-	for _, v := range []float64{0, 10, 10.0001, 50, 99.9, 100, 100.5, 1e9} {
-		h.Observe(v)
-	}
-	bounds, counts := h.Buckets()
-	if want := []float64{10, 50, 100}; !reflect.DeepEqual(bounds, want) {
-		t.Fatalf("bounds = %v, want %v", bounds, want)
-	}
-	// <=10: {0, 10}; <=50: {10.0001, 50}; <=100: {99.9, 100}; over: {100.5, 1e9}
-	if want := []int64{2, 2, 2, 2}; !reflect.DeepEqual(counts, want) {
-		t.Errorf("counts = %v, want %v", counts, want)
-	}
-	if h.Count() != 8 {
-		t.Errorf("count = %d, want 8", h.Count())
-	}
-	if got, want := h.Sum(), 0+10+10.0001+50+99.9+100+100.5+1e9; got != want {
-		t.Errorf("sum = %v, want %v", got, want)
-	}
-}
-
-func TestHistogramUnsortedBoundsAreSorted(t *testing.T) {
-	h := NewRegistry().Histogram("h", []float64{100, 10})
-	h.Observe(50)
-	bounds, counts := h.Buckets()
-	if !reflect.DeepEqual(bounds, []float64{10, 100}) {
-		t.Fatalf("bounds = %v, want sorted", bounds)
-	}
-	if !reflect.DeepEqual(counts, []int64{0, 1, 0}) {
-		t.Errorf("counts = %v, want [0 1 0]", counts)
-	}
-}
-
 // TestRegistryConcurrentWriters exercises every instrument kind from
 // many goroutines; run with -race this is the registry race test.
 func TestRegistryConcurrentWriters(t *testing.T) {
@@ -82,7 +46,7 @@ func TestRegistryConcurrentWriters(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				r.Counter("shared").Inc()
 				r.Gauge("g").Set(float64(i))
-				r.Histogram("h", []float64{100, 500}).Observe(float64(i))
+				r.QHistogram("h").Observe(float64(i))
 				if i%100 == 0 {
 					r.Snapshot() // concurrent readers
 				}
@@ -93,7 +57,7 @@ func TestRegistryConcurrentWriters(t *testing.T) {
 	if got := r.Counter("shared").Value(); got != workers*iters {
 		t.Errorf("counter = %d, want %d", got, workers*iters)
 	}
-	if got := r.Histogram("h", nil).Count(); got != workers*iters {
+	if got := r.QHistogram("h").Count(); got != workers*iters {
 		t.Errorf("histogram count = %d, want %d", got, workers*iters)
 	}
 }
@@ -102,7 +66,7 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
 	r.Gauge("x").Set(1)
-	r.Histogram("x", []float64{1}).Observe(1)
+	r.QHistogram("x").Observe(1)
 	if got := r.Counter("x").Value(); got != 0 {
 		t.Errorf("nil counter = %d", got)
 	}
@@ -121,12 +85,11 @@ func TestWriteTextFormat(t *testing.T) {
 	r.Counter("b.count").Add(2)
 	r.Counter("a.count").Add(1)
 	r.Gauge("ratio").Set(0.25)
-	r.Histogram("rtt", []float64{10}).Observe(3)
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := "counter a.count 1\ncounter b.count 2\ngauge ratio 0.25\nhistogram rtt count=1 sum=3 le_10=1 inf=0\n"
+	want := "counter a.count 1\ncounter b.count 2\ngauge ratio 0.25\n"
 	if buf.String() != want {
 		t.Errorf("WriteText =\n%q\nwant\n%q", buf.String(), want)
 	}

@@ -11,11 +11,9 @@ import (
 // Prometheus text exposition (format version 0.0.4) for a registry
 // snapshot. Instrument names are sanitized to the Prometheus charset
 // (every run of invalid characters becomes one underscore, so
-// "core.walk.rtt_ms" scrapes as "core_walk_rtt_ms"). Fixed-bucket
-// histograms render as Prometheus histograms with cumulative le
-// buckets; quantile histograms and histogram vectors render as
-// summaries carrying the standard p50/p90/p99/p999 quantile series
-// beside _sum and _count.
+// "core.walk.rtt_ms" scrapes as "core_walk_rtt_ms"). Quantile
+// histograms and histogram vectors render as summaries carrying the
+// standard p50/p90/p99/p999 quantile series beside _sum and _count.
 
 // promName sanitizes an instrument name to [a-zA-Z_:][a-zA-Z0-9_:]*.
 func promName(name string) string {
@@ -94,19 +92,6 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		n := promName(name)
 		fmt.Fprintf(bw, "# TYPE %s gauge\n", n)
 		fmt.Fprintf(bw, "%s %s\n", n, promFloat(s.Gauges[name]))
-	}
-	for _, name := range sortedKeys(s.Histograms) {
-		h := s.Histograms[name]
-		n := promName(name)
-		fmt.Fprintf(bw, "# TYPE %s histogram\n", n)
-		cum := int64(0)
-		for i, b := range h.Bounds {
-			cum += h.Counts[i]
-			fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", n, promFloat(b), cum)
-		}
-		fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", n, h.Count)
-		fmt.Fprintf(bw, "%s_sum %s\n", n, promFloat(h.Sum))
-		fmt.Fprintf(bw, "%s_count %d\n", n, h.Count)
 	}
 	for _, name := range sortedKeys(s.Quantiles) {
 		q := s.Quantiles[name]

@@ -11,10 +11,6 @@ func fullRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("core.probes.sent").Add(12)
 	r.Gauge("runtime.sessions.active").Set(3)
-	h := r.Histogram("runtime.find.latency_ms", []float64{1, 5, 10})
-	h.Observe(0.5)
-	h.Observe(7)
-	h.Observe(99)
 	q := r.QHistogram("core.walk.rtt_ms")
 	for i := 1; i <= 100; i++ {
 		q.Observe(float64(i))
@@ -40,9 +36,6 @@ func TestWritePrometheusIsValidExposition(t *testing.T) {
 		"# TYPE core_probes_sent counter",
 		"core_probes_sent 12",
 		"# TYPE runtime_sessions_active gauge",
-		"# TYPE runtime_find_latency_ms histogram",
-		`runtime_find_latency_ms_bucket{le="+Inf"} 3`,
-		"runtime_find_latency_ms_count 3",
 		"# TYPE core_walk_rtt_ms summary",
 		`core_walk_rtt_ms{quantile="0.5"}`,
 		`core_walk_rtt_ms{quantile="0.999"}`,

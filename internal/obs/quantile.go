@@ -23,7 +23,7 @@ const (
 )
 
 // QHistogram is a log-bucketed auto-ranging histogram with a quantile
-// API. Unlike Histogram it needs no bucket bounds up front: any
+// API. It needs no bucket bounds up front: any
 // positive float64 maps to a bucket whose width is at most ~3.1% of its
 // value, which makes Quantile(p) accurate to one log-bucket over the
 // full range of latencies the system records (nanoseconds to hours).

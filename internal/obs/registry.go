@@ -1,8 +1,8 @@
 // Package obs is the zero-dependency observability layer: a
-// concurrency-safe instrument registry (counters, gauges, fixed-bucket
-// histograms, auto-ranging quantile histograms, and labeled instrument
-// vectors), a probe-lifecycle tracer emitting structured span events
-// with an in-process subscription fanout, an HTTP scrape surface
+// concurrency-safe instrument registry (counters, gauges, auto-ranging
+// quantile histograms, and labeled instrument vectors), a
+// probe-lifecycle tracer emitting structured span events with an
+// in-process subscription fanout, an HTTP scrape surface
 // (Serve), and a QoS drift monitor comparing per-session observed
 // gauges against their Eq. 3 requirements.
 //
@@ -71,64 +71,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram counts observations into fixed buckets. Bucket i counts
-// observations v with v <= Bounds[i] (and greater than the previous
-// bound); one extra overflow bucket catches everything beyond the last
-// bound. All updates are atomic.
-type Histogram struct {
-	bounds  []float64
-	counts  []atomic.Int64 // len(bounds)+1, last is overflow
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits, CAS-updated
-}
-
-// Observe records one sample. No-op on a nil histogram.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		sum := math.Float64frombits(old) + v
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(sum)) {
-			return
-		}
-	}
-}
-
-// Count returns the total number of observations; 0 on a nil histogram.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values; 0 on a nil histogram.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Buckets returns the upper bounds and the per-bucket counts; the counts
-// slice has one extra trailing overflow entry.
-func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
-	if h == nil {
-		return nil, nil
-	}
-	bounds = append([]float64(nil), h.bounds...)
-	counts = make([]int64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return bounds, counts
-}
-
 // Registry names and hands out instruments. Get-or-create lookups take a
 // read-write mutex, so resolve instruments once and hold the pointers on
 // hot paths; the instruments themselves are lock-free.
@@ -138,8 +80,6 @@ type Registry struct {
 	counters map[string]*Counter
 	// gauges indexes gauges by name. guarded by mu
 	gauges map[string]*Gauge
-	// histograms indexes histograms by name. guarded by mu
-	histograms map[string]*Histogram
 	// quantiles indexes quantile histograms by name. guarded by mu
 	quantiles map[string]*QHistogram
 	// counterVecs indexes counter vectors by name. guarded by mu
@@ -149,11 +89,6 @@ type Registry struct {
 	// histogramVecs indexes histogram vectors by name. guarded by mu
 	histogramVecs map[string]*HistogramVec
 
-	// boundsConflicts counts Histogram calls whose bounds disagreed with
-	// the bounds the named histogram was created with. Surfaced in
-	// snapshots as the counter "obs.registry.histogram_bounds_conflicts"
-	// once nonzero.
-	boundsConflicts Counter
 	// labelErrors counts vector lookups with the wrong label arity and
 	// vector re-registrations with different label names. Surfaced as
 	// the counter "obs.registry.label_errors" once nonzero.
@@ -165,7 +100,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:      make(map[string]*Counter),
 		gauges:        make(map[string]*Gauge),
-		histograms:    make(map[string]*Histogram),
 		quantiles:     make(map[string]*QHistogram),
 		counterVecs:   make(map[string]*CounterVec),
 		gaugeVecs:     make(map[string]*GaugeVec),
@@ -213,66 +147,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named histogram, creating it with the given
-// ascending bucket upper bounds on first use. Later calls must pass the
-// same bounds (in any order): the first registration wins, but a
-// mismatch is recorded — not silently ignored — in the
-// "obs.registry.histogram_bounds_conflicts" counter (see
-// HistogramBoundsConflicts), so a dashboard showing misleading buckets
-// has a tell. A nil registry returns a nil (no-op) histogram.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	h := r.histograms[name]
-	r.mu.RUnlock()
-	if h != nil {
-		r.checkBounds(h, bounds)
-		return h
-	}
-	r.mu.Lock()
-	if h = r.histograms[name]; h == nil {
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		h = &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-		r.histograms[name] = h
-		r.mu.Unlock()
-		return h
-	}
-	r.mu.Unlock()
-	r.checkBounds(h, bounds)
-	return h
-}
-
-// checkBounds bumps the conflict counter when bounds disagree with the
-// histogram's registered bounds. The comparison sorts a copy, matching
-// what registration does.
-func (r *Registry) checkBounds(h *Histogram, bounds []float64) {
-	if len(bounds) != len(h.bounds) {
-		r.boundsConflicts.Inc()
-		return
-	}
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	for i := range b {
-		if b[i] != h.bounds[i] {
-			r.boundsConflicts.Inc()
-			return
-		}
-	}
-}
-
-// HistogramBoundsConflicts returns how many Histogram lookups passed
-// bounds that disagreed with the registered histogram's bounds; 0 on a
-// nil registry.
-func (r *Registry) HistogramBoundsConflicts() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.boundsConflicts.Value()
 }
 
 // LabelErrors returns how many vector operations used a wrong label
@@ -416,14 +290,6 @@ func (r *Registry) HistogramVec(name string, labelNames ...string) *HistogramVec
 	return v
 }
 
-// HistogramSnapshot is one histogram's state at snapshot time.
-type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"` // len(Bounds)+1, last is overflow
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-}
-
 // Snapshot is a point-in-time copy of every instrument. Concurrent
 // updates during the copy yield per-instrument (not cross-instrument)
 // consistency, which is what monitoring needs.
@@ -436,9 +302,8 @@ type Snapshot struct {
 	// distorts every rate it renders.
 	AtUnixNanos int64 `json:"atUnixNanos,omitempty"`
 
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
+	Counters map[string]int64   `json:"counters"`
+	Gauges   map[string]float64 `json:"gauges"`
 	// The vector and quantile maps are omitted from JSON while empty so
 	// snapshots from registries predating them are byte-identical.
 	Quantiles     map[string]QHistogramSnapshot   `json:"quantiles,omitempty"`
@@ -453,7 +318,6 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:      make(map[string]int64),
 		Gauges:        make(map[string]float64),
-		Histograms:    make(map[string]HistogramSnapshot),
 		Quantiles:     make(map[string]QHistogramSnapshot),
 		CounterVecs:   make(map[string]VecSnapshot),
 		GaugeVecs:     make(map[string]VecSnapshot),
@@ -470,12 +334,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
 	}
-	for name, h := range r.histograms {
-		bounds, counts := h.Buckets()
-		s.Histograms[name] = HistogramSnapshot{
-			Bounds: bounds, Counts: counts, Count: h.Count(), Sum: h.Sum(),
-		}
-	}
 	for name, q := range r.quantiles {
 		s.Quantiles[name] = q.Snapshot()
 	}
@@ -490,9 +348,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	// Self-monitoring counters appear once they have something to say,
 	// keeping snapshots from clean registries unchanged.
-	if n := r.boundsConflicts.Value(); n > 0 {
-		s.Counters["obs.registry.histogram_bounds_conflicts"] = n
-	}
 	if n := r.labelErrors.Value(); n > 0 {
 		s.Counters["obs.registry.label_errors"] = n
 	}
@@ -510,25 +365,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	}
 	for _, name := range sortedKeys(s.Gauges) {
 		if _, err := fmt.Fprintf(w, "gauge %s %g\n", name, s.Gauges[name]); err != nil {
-			return err
-		}
-	}
-	hists := make([]string, 0, len(s.Histograms))
-	for name := range s.Histograms {
-		hists = append(hists, name)
-	}
-	sort.Strings(hists)
-	for _, name := range hists {
-		h := s.Histograms[name]
-		if _, err := fmt.Fprintf(w, "histogram %s count=%d sum=%g", name, h.Count, h.Sum); err != nil {
-			return err
-		}
-		for i, b := range h.Bounds {
-			if _, err := fmt.Fprintf(w, " le_%g=%d", b, h.Counts[i]); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, " inf=%d\n", h.Counts[len(h.Counts)-1]); err != nil {
 			return err
 		}
 	}

@@ -162,27 +162,3 @@ func TestVecObserveAllocationFree(t *testing.T) {
 		t.Errorf("cached child Inc allocates %v per call", n)
 	}
 }
-
-func TestRegistryHistogramBoundsConflict(t *testing.T) {
-	r := NewRegistry()
-	a := r.Histogram("h", []float64{1, 2, 3})
-	b := r.Histogram("h", []float64{1, 2, 3})
-	if a != b {
-		t.Fatal("same-bounds re-registration returned a different histogram")
-	}
-	if got := r.HistogramBoundsConflicts(); got != 0 {
-		t.Fatalf("conflicts = %d before any mismatch", got)
-	}
-	// Mismatched bounds return the existing histogram and record the
-	// conflict instead of silently mis-bucketing.
-	c := r.Histogram("h", []float64{5, 10})
-	if c != a {
-		t.Fatal("conflicting re-registration returned a different histogram")
-	}
-	if got := r.HistogramBoundsConflicts(); got != 1 {
-		t.Fatalf("conflicts = %d, want 1", got)
-	}
-	if got := r.Snapshot().Counters["obs.registry.histogram_bounds_conflicts"]; got != 1 {
-		t.Fatalf("snapshot conflict counter = %d, want 1", got)
-	}
-}

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/component"
@@ -90,11 +91,12 @@ func TestQuotaRefundedOnCompositionFailure(t *testing.T) {
 	}
 }
 
-// TestFindBatchQuotaNeverOversubscribed drives many concurrent
-// admissions from one tenant through FindBatch (run under -race in CI):
-// the session quota must never be exceeded no matter how the workers
-// interleave, and rejected specs must surface the typed quota error.
-func TestFindBatchQuotaNeverOversubscribed(t *testing.T) {
+// TestFindAppQuotaNeverOversubscribed drives concurrent admissions from
+// one tenant through FindApp, the path the server uses (run under -race
+// in CI): the session quota must never be exceeded however the callers
+// interleave, rejections must surface the typed quota error, and closing
+// every admitted session must refund the tenant to zero.
+func TestFindAppQuotaNeverOversubscribed(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := DefaultConfig()
 	cfg.IPNodes = 256
@@ -107,46 +109,51 @@ func TestFindBatchQuotaNeverOversubscribed(t *testing.T) {
 	}
 	t.Cleanup(c.Shutdown)
 
-	const cap, specsN = 6, 32
+	const cap, workers, perWorker = 6, 8, 4
 	c.SetTenantQuota("burst", TenantQuota{MaxSessions: cap})
 	qosReq, resReq, bw := easyArgs(2)
-	specs := make([]FindSpec, specsN)
-	for i := range specs {
-		specs[i] = FindSpec{
-			Tenant:        "burst",
-			Graph:         component.NewPathGraph([]component.FunctionID{0, 1}),
-			QoSReq:        qosReq,
-			ResReq:        resReq,
-			BandwidthKbps: bw,
-		}
+	ids := make([]SessionID, workers*perWorker)
+	errs := make([]error, workers*perWorker)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w * perWorker; i < (w+1)*perWorker; i++ {
+				ids[i], errs[i] = c.FindApp(FindRequest{
+					Tenant:        "burst",
+					Graph:         component.NewPathGraph([]component.FunctionID{0, 1}),
+					QoSReq:        qosReq,
+					ResReq:        resReq,
+					BandwidthKbps: bw,
+				})
+			}
+		}(w)
 	}
-	results, err := c.FindBatch(specs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 
 	var admitted, quotaRejected int
-	for i, r := range results {
+	for i, err := range errs {
 		switch {
-		case r.Err == nil:
+		case err == nil:
 			admitted++
-		case errors.Is(r.Err, ErrQuotaExceeded):
+		case errors.Is(err, ErrQuotaExceeded):
 			var qerr *QuotaError
-			if !errors.As(r.Err, &qerr) {
-				t.Fatalf("spec %d: quota rejection %v is not typed", i, r.Err)
+			if !errors.As(err, &qerr) {
+				t.Fatalf("admission %d: quota rejection %v is not typed", i, err)
 			}
 			quotaRejected++
-		case errors.Is(r.Err, ErrNoComposition):
+		case errors.Is(err, ErrNoComposition):
 			// Cluster contention, not quota — allowed.
 		default:
-			t.Fatalf("spec %d: unexpected error %v", i, r.Err)
+			t.Fatalf("admission %d: unexpected error %v", i, err)
 		}
 	}
 	if admitted > cap {
 		t.Fatalf("admitted %d sessions past quota %d", admitted, cap)
 	}
 	if quotaRejected == 0 {
-		t.Fatalf("no typed quota rejections across %d specs over a %d cap", specsN, cap)
+		t.Fatalf("no typed quota rejections across %d admissions over a %d cap", len(errs), cap)
 	}
 	if usage := c.TenantUsageFor("burst").Sessions; usage != admitted {
 		t.Errorf("usage sessions = %d, admitted = %d", usage, admitted)
@@ -162,6 +169,18 @@ func TestFindBatchQuotaNeverOversubscribed(t *testing.T) {
 	}
 	if got, ok := vecValue(snap.CounterVecs["runtime.quota_rejections"], "burst"); !ok || got != float64(quotaRejected) {
 		t.Errorf("quota rejection counter = %v (present=%v), want %d", got, ok, quotaRejected)
+	}
+
+	for i, err := range errs {
+		if err != nil {
+			continue
+		}
+		if err := c.Close(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if usage := c.TenantUsageFor("burst"); usage != (TenantUsage{}) {
+		t.Errorf("usage after closing every session = %+v, want zero", usage)
 	}
 }
 

@@ -174,9 +174,8 @@ type Cluster struct {
 	finds          *obs.Counter
 	findFailures   *obs.Counter
 	activeSessions *obs.Gauge
-	findLatencyMs  *obs.Histogram
-	// findQuantiles is the auto-ranging quantile companion of
-	// findLatencyMs: same observations, p50/p99/p999 derivable.
+	// findQuantiles is the auto-ranging find latency histogram:
+	// p50/p99/p999 derivable.
 	findQuantiles *obs.QHistogram
 
 	// Migration instruments: successful make-before-break flips, failed
@@ -206,17 +205,16 @@ type Cluster struct {
 	tenantSessions  *obs.GaugeVec
 	quotaRejections *obs.CounterVec
 
-	// quota is the per-tenant admission accounting; it has its own
-	// mutex (see quotaTable).
-	quota *quotaTable
-
 	clock clock.Clock
 
+	// mu serializes the control plane: every ledger, global-state,
+	// composer and quota operation runs with it held.
 	mu        sync.Mutex
-	ledger    *state.Ledger
-	global    *state.Global
-	composer  *core.Composer
-	kernel    core.Kernel // observedPhi scratch
+	ledger    *state.Ledger  // guarded by mu
+	global    *state.Global  // guarded by mu
+	composer  *core.Composer // guarded by mu
+	quota     *quotaTable    // per-tenant admission accounting; guarded by mu
+	kernel    core.Kernel    // observedPhiLocked scratch
 	rng       *rand.Rand
 	functions map[component.FunctionID]ProcessorFunc
 	sessions  map[SessionID]*session
@@ -282,7 +280,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		finds:          cfg.Registry.Counter("runtime.finds"),
 		findFailures:   cfg.Registry.Counter("runtime.find_failures"),
 		activeSessions: cfg.Registry.Gauge("runtime.sessions.active"),
-		findLatencyMs:  cfg.Registry.Histogram("runtime.find.latency_ms", []float64{0.1, 0.5, 1, 5, 10, 50, 100}),
 		findQuantiles:  cfg.Registry.QHistogram("runtime.find.latency_quantiles_ms"),
 
 		migrationsC:       cfg.Registry.Counter("runtime.migrations"),
@@ -300,28 +297,27 @@ func NewCluster(cfg Config) (*Cluster, error) {
 
 		quota: newQuotaTable(),
 	}
-	c.ledger = state.NewLedger(mesh, cfg.NodeCapacity, c.now)
+	ledger := state.NewLedger(mesh, cfg.NodeCapacity, c.now)
 	if caps := cfg.NodeCapacities; caps != nil {
 		if len(caps) != mesh.NumNodes() {
 			return nil, fmt.Errorf("runtime: NodeCapacities has %d entries for %d overlay nodes",
 				len(caps), mesh.NumNodes())
 		}
 		for node, capacity := range caps {
-			if err := c.ledger.SetNodeCapacity(node, capacity); err != nil {
+			if err := ledger.SetNodeCapacity(node, capacity); err != nil {
 				return nil, err
 			}
 		}
 	}
-	global, err := state.NewGlobal(c.ledger, mesh, state.DefaultGlobalConfig(), c.counters)
+	global, err := state.NewGlobal(ledger, mesh, state.DefaultGlobalConfig(), c.counters)
 	if err != nil {
 		return nil, err
 	}
-	c.global = global
 	env := core.Env{
 		Mesh:     mesh,
 		Catalog:  catalog,
 		Registry: discovery.NewRegistry(catalog, mesh.NumNodes(), c.counters),
-		Ledger:   c.ledger,
+		Ledger:   ledger,
 		Global:   global,
 		Counters: c.counters,
 		Now:      c.now,
@@ -341,7 +337,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.composer = composer
+	//acp:guarded-ok c is unpublished: no other goroutine can reach it before NewCluster returns
+	c.ledger, c.global, c.composer = ledger, global, composer
 	return c, nil
 }
 
@@ -358,6 +355,8 @@ func (c *Cluster) EnableSelfTuning(target float64, windowRequests int) error {
 	if windowRequests < 1 {
 		return fmt.Errorf("runtime: windowRequests %d < 1", windowRequests)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	cfg := tuning.DefaultPIConfig()
 	cfg.Target = target
 	cfg.Base = c.composer.ProbingRatio()
@@ -368,8 +367,6 @@ func (c *Cluster) EnableSelfTuning(target float64, windowRequests int) error {
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.tuner = controller
 	c.tuneEvery = windowRequests
 	c.tuneSuccess, c.tuneTotal = 0, 0
@@ -383,8 +380,8 @@ func (c *Cluster) ProbingRatio() float64 {
 	return c.composer.ProbingRatio()
 }
 
-// observeFind feeds the tuner; the caller holds c.mu.
-func (c *Cluster) observeFind(success bool) {
+// observeFindLocked feeds the tuner; the caller holds c.mu.
+func (c *Cluster) observeFindLocked(success bool) {
 	if c.tuner == nil {
 		return
 	}
@@ -500,7 +497,6 @@ func (c *Cluster) FindApp(r FindRequest) (SessionID, error) {
 	c.finds.Inc()
 	outcome, err := c.composer.Probe(req)
 	elapsedMs := float64(c.now()-findStart) / float64(time.Millisecond)
-	c.findLatencyMs.Observe(elapsedMs)
 	c.findQuantiles.Observe(elapsedMs)
 	if err != nil {
 		c.quota.refund(r.Tenant, demand)
@@ -509,18 +505,18 @@ func (c *Cluster) FindApp(r FindRequest) (SessionID, error) {
 	}
 	if !outcome.Success() {
 		c.quota.refund(r.Tenant, demand)
-		c.observeFind(false)
+		c.observeFindLocked(false)
 		c.findFailures.Inc()
 		return 0, ErrNoComposition
 	}
 	if err := c.composer.Commit(outcome); err != nil {
 		c.composer.Abort(req.ID)
 		c.quota.refund(r.Tenant, demand)
-		c.observeFind(false)
+		c.observeFindLocked(false)
 		c.findFailures.Inc()
 		return 0, fmt.Errorf("runtime: commit: %w", err)
 	}
-	c.observeFind(true)
+	c.observeFindLocked(true)
 
 	c.nextID++
 	id := c.nextID
@@ -653,17 +649,17 @@ func (c *Cluster) RefreshSessionGauges() {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		c.sessionPhi.With(sessionLabel(id)).Set(c.observedPhi(c.sessions[id]))
+		c.sessionPhi.With(sessionLabel(id)).Set(c.observedPhiLocked(c.sessions[id]))
 	}
 }
 
-// observedPhi scores the session's composition with Eq. 1, under the
+// observedPhiLocked scores the session's composition with Eq. 1, under the
 // cluster's phi mode, against the ledger's current committed residuals:
 // the residual after the session's own committed demand, matching the
 // post-placement residual rr of Eq. 1. A residual driven negative (a
 // node's capacity cut below its commitments) scores +Inf. Caller holds
 // c.mu.
-func (c *Cluster) observedPhi(s *session) float64 {
+func (c *Cluster) observedPhiLocked(s *session) float64 {
 	view := committedView{ledger: c.ledger, owner: state.Owner(s.request.ID)}
 	phi, ok := c.kernel.Score(view, c.cfg.Phi, c.catalog, s.request, s.comp.Components, s.comp.Routes)
 	if !ok {
@@ -889,7 +885,7 @@ func (c *Cluster) AuditSessions() []SessionAudit {
 		out = append(out, SessionAudit{
 			ID:          id,
 			RequestID:   s.request.ID,
-			ObservedPhi: c.observedPhi(s),
+			ObservedPhi: c.observedPhiLocked(s),
 			RequiredPhi: s.requiredPhi,
 			Migrations:  s.migrations,
 		})

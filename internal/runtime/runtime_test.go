@@ -607,6 +607,50 @@ func TestSelfTuningAdjustsRatio(t *testing.T) {
 	}
 }
 
+// TestEnableSelfTuningConcurrentWithFind re-enables tuning while Finds
+// step the controller, which rewrites the composer's probing ratio under
+// the cluster lock: EnableSelfTuning must read that ratio under the same
+// lock (meaningful under -race). Finds alternate between success and
+// failure so every one moves the ratio.
+func TestEnableSelfTuningConcurrentWithFind(t *testing.T) {
+	c := testCluster(t)
+	if err := c.EnableSelfTuning(0.5, 1); err != nil {
+		t.Fatal(err)
+	}
+	graph := component.NewPathGraph([]component.FunctionID{0, 1})
+	qosReq, resReq, _ := easyArgs(2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			if i%2 == 0 {
+				// Impossible bandwidth: the Find fails.
+				if _, err := c.Find(graph, qosReq, resReq, 1e12); !errors.Is(err, ErrNoComposition) {
+					t.Errorf("find %d: %v, want ErrNoComposition", i, err)
+					return
+				}
+				continue
+			}
+			id, err := c.Find(graph, qosReq, resReq, 10)
+			if err != nil {
+				t.Errorf("find %d: %v", i, err)
+				return
+			}
+			if err := c.Close(id); err != nil {
+				t.Errorf("close %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if err := c.EnableSelfTuning(0.5, 1); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	<-done
+}
+
 func TestCloseWithoutDrainingOutput(t *testing.T) {
 	c := testCluster(t)
 	graph := component.NewPathGraph([]component.FunctionID{0, 1})

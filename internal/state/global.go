@@ -3,7 +3,6 @@ package state
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -52,45 +51,6 @@ type Global struct {
 
 	aggNode  int // rotating aggregation role (§3.2, round robin)
 	counters *metrics.Counters
-
-	// mu, when non-nil, guards the view slices for concurrent readers
-	// against observer-driven updates. The lock order is always ledger
-	// before global: observers fire under the ledger lock and then take
-	// this one, so nothing here may call back into locked ledger methods
-	// while holding it.
-	mu *sync.RWMutex
-}
-
-// EnableLocking makes the global state safe for concurrent use alongside
-// Ledger.EnableLocking. Idempotent; cannot be undone.
-func (g *Global) EnableLocking() {
-	if g.mu == nil {
-		g.mu = new(sync.RWMutex)
-	}
-}
-
-func (g *Global) rlock() {
-	if g.mu != nil {
-		g.mu.RLock()
-	}
-}
-
-func (g *Global) runlock() {
-	if g.mu != nil {
-		g.mu.RUnlock()
-	}
-}
-
-func (g *Global) wlock() {
-	if g.mu != nil {
-		g.mu.Lock()
-	}
-}
-
-func (g *Global) wunlock() {
-	if g.mu != nil {
-		g.mu.Unlock()
-	}
 }
 
 // NewGlobal wires a global state to the ledger and subscribes to its
@@ -127,13 +87,10 @@ func NewGlobal(ledger *Ledger, mesh *overlay.Mesh, cfg GlobalConfig, counters *m
 }
 
 // nodeChanged applies the threshold rule after a committed change on
-// node. It runs under the ledger lock (when enabled), so it reads the
-// ledger through the unlocked internals.
+// node.
 func (g *Global) nodeChanged(node int) {
-	truth := g.ledger.nodeCommittedAvailable(node)
+	truth := g.ledger.NodeCommittedAvailable(node)
 	capacity := g.ledger.NodeCapacity(node)
-	g.wlock()
-	defer g.wunlock()
 	view := g.nodeView[node]
 	if exceeds(view.CPU, truth.CPU, capacity.CPU, g.cfg.UpdateThreshold) ||
 		exceeds(view.Memory, truth.Memory, capacity.Memory, g.cfg.UpdateThreshold) {
@@ -146,10 +103,8 @@ func (g *Global) nodeChanged(node int) {
 // overlay link. A triggered link update is a report to the aggregation
 // node (one message); dissemination happens at the aggregation period.
 func (g *Global) linkChanged(link int) {
-	truth := g.ledger.linkCommittedAvailable(link)
+	truth := g.ledger.LinkCommittedAvailable(link)
 	capacity := g.ledger.LinkCapacity(link)
-	g.wlock()
-	defer g.wunlock()
 	if exceeds(g.linkView[link], truth, capacity, g.cfg.UpdateThreshold) {
 		g.linkView[link] = truth
 		g.counters.AddStateUpdates(1)
@@ -168,8 +123,6 @@ func exceeds(view, truth, max, threshold float64) bool {
 // aggregation role rotates round-robin over nodes for load sharing and
 // the dissemination counts one message per system node.
 func (g *Global) Aggregate() {
-	g.wlock()
-	defer g.wunlock()
 	copy(g.aggView, g.linkView)
 	g.aggNode = (g.aggNode + 1) % g.mesh.NumNodes()
 	g.counters.AddAggregations(int64(g.mesh.NumNodes()))
@@ -177,8 +130,6 @@ func (g *Global) Aggregate() {
 
 // AggregationNode returns the node currently holding the aggregation role.
 func (g *Global) AggregationNode() int {
-	g.rlock()
-	defer g.runlock()
 	return g.aggNode
 }
 
@@ -188,35 +139,24 @@ func (g *Global) Period() time.Duration { return g.cfg.AggregationPeriod }
 // NodeAvailable returns the coarse-grain view of a node's available
 // resources — possibly stale within the update threshold.
 func (g *Global) NodeAvailable(node int) qos.Resources {
-	g.rlock()
-	defer g.runlock()
 	return g.nodeView[node]
 }
 
 // LinkAvailable returns the coarse-grain available bandwidth of an
 // overlay link: its value in the latest aggregation snapshot.
 func (g *Global) LinkAvailable(link int) float64 {
-	g.rlock()
-	defer g.runlock()
 	return g.aggView[link]
 }
 
 // ForceRefresh resets every reported value to the current truth, as if
 // every threshold fired. The ablation benchmarks use it to emulate a
-// centralized always-fresh global state. Ledger reads happen before the
-// global lock is taken, preserving the ledger-before-global lock order.
+// centralized always-fresh global state.
 func (g *Global) ForceRefresh() {
-	nodes := make([]qos.Resources, len(g.nodeView))
-	for i := range nodes {
-		nodes[i] = g.ledger.NodeCommittedAvailable(i)
+	for i := range g.nodeView {
+		g.nodeView[i] = g.ledger.NodeCommittedAvailable(i)
 	}
-	links := make([]float64, len(g.linkView))
-	for i := range links {
-		links[i] = g.ledger.LinkCommittedAvailable(i)
+	for i := range g.linkView {
+		g.linkView[i] = g.ledger.LinkCommittedAvailable(i)
 	}
-	g.wlock()
-	defer g.wunlock()
-	copy(g.nodeView, nodes)
-	copy(g.linkView, links)
 	copy(g.aggView, g.linkView)
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/overlay"
@@ -59,10 +58,9 @@ type sessionAlloc struct {
 // transient holds expire after a timeout unless promoted by a session
 // confirmation, preventing conflicting admissions by concurrent probings.
 //
-// By default a Ledger is not safe for concurrent use; the discrete-event
-// simulator is single-threaded. EnableLocking switches on an internal
-// mutex so a concurrent composition driver can share one ledger across
-// worker goroutines; the disabled path costs only a nil check.
+// A Ledger is not safe for concurrent use. The runtime serializes every
+// ledger operation on Cluster.mu, the discrete-event simulator is
+// single-threaded, and the distributed protocol does not use the ledger.
 type Ledger struct {
 	now      func() time.Duration
 	nodes    []nodeLedger
@@ -79,11 +77,6 @@ type Ledger struct {
 
 	onNodeChange func(node int)
 	onLinkChange func(link int)
-
-	// mu, when non-nil, serializes every public operation. Change
-	// observers fire with the lock held and must only use the package's
-	// unlocked internals.
-	mu *sync.Mutex
 }
 
 // NewLedger builds a ledger for the mesh with every node given nodeCap
@@ -105,32 +98,10 @@ func NewLedger(mesh *overlay.Mesh, nodeCap qos.Resources, now func() time.Durati
 	return l
 }
 
-// EnableLocking makes the ledger safe for concurrent use by guarding
-// every operation with a mutex. Call before sharing the ledger across
-// goroutines; enabling is idempotent and cannot be undone.
-func (l *Ledger) EnableLocking() {
-	if l.mu == nil {
-		l.mu = new(sync.Mutex)
-	}
-}
-
-func (l *Ledger) lock() {
-	if l.mu != nil {
-		l.mu.Lock()
-	}
-}
-
-func (l *Ledger) unlock() {
-	if l.mu != nil {
-		l.mu.Unlock()
-	}
-}
-
 // SetChangeObservers registers callbacks fired after a node's or link's
 // committed allocation changes. The global state subscribes here to apply
 // its threshold-triggered update rule. Transient holds do not fire the
 // observers: they are short-lived local state, never disseminated (§3.2).
-// When locking is enabled the callbacks run with the ledger lock held.
 func (l *Ledger) SetChangeObservers(onNode func(int), onLink func(int)) {
 	l.onNodeChange = onNode
 	l.onLinkChange = onLink
@@ -152,8 +123,6 @@ func (l *Ledger) NodeCapacity(node int) qos.Resources { return l.nodes[node].cap
 // existing committed+held allocation would corrupt the conservation
 // invariants, so overrides on a live ledger are rejected.
 func (l *Ledger) SetNodeCapacity(node int, capacity qos.Resources) error {
-	l.lock()
-	defer l.unlock()
 	if node < 0 || node >= len(l.nodes) {
 		return fmt.Errorf("state: node %d out of range", node)
 	}
@@ -211,12 +180,6 @@ func (l *Ledger) purgeLink(link int) {
 // precise local state a probe reads at the node itself — capacity minus
 // committed sessions minus live transient holds.
 func (l *Ledger) NodeAvailable(node int) qos.Resources {
-	l.lock()
-	defer l.unlock()
-	return l.nodeAvailable(node)
-}
-
-func (l *Ledger) nodeAvailable(node int) qos.Resources {
 	l.purgeNode(node)
 	n := &l.nodes[node]
 	return n.capacity.Sub(n.committed).Sub(n.held)
@@ -226,12 +189,6 @@ func (l *Ledger) nodeAvailable(node int) qos.Resources {
 // ignoring transient holds. This is what the coarse global state
 // disseminates, since holds are never reported beyond the local node.
 func (l *Ledger) NodeCommittedAvailable(node int) qos.Resources {
-	l.lock()
-	defer l.unlock()
-	return l.nodeCommittedAvailable(node)
-}
-
-func (l *Ledger) nodeCommittedAvailable(node int) qos.Resources {
 	n := &l.nodes[node]
 	return n.capacity.Sub(n.committed)
 }
@@ -240,19 +197,11 @@ func (l *Ledger) nodeCommittedAvailable(node int) qos.Resources {
 // session's perspective: owner's own committed share on the node is
 // credited back.
 func (l *Ledger) NodeCommittedAvailableFor(owner Owner, node int) qos.Resources {
-	l.lock()
-	defer l.unlock()
-	return l.nodeCommittedAvailable(node).Add(l.sessions[owner].nodes[node])
+	return l.NodeCommittedAvailable(node).Add(l.sessions[owner].nodes[node])
 }
 
 // LinkAvailable returns the link's precise available bandwidth.
 func (l *Ledger) LinkAvailable(link int) float64 {
-	l.lock()
-	defer l.unlock()
-	return l.linkAvailable(link)
-}
-
-func (l *Ledger) linkAvailable(link int) float64 {
 	l.purgeLink(link)
 	lk := &l.links[link]
 	return lk.capacity - lk.committed - lk.held
@@ -261,12 +210,6 @@ func (l *Ledger) linkAvailable(link int) float64 {
 // LinkCommittedAvailable returns capacity minus committed bandwidth,
 // ignoring transient holds.
 func (l *Ledger) LinkCommittedAvailable(link int) float64 {
-	l.lock()
-	defer l.unlock()
-	return l.linkCommittedAvailable(link)
-}
-
-func (l *Ledger) linkCommittedAvailable(link int) float64 {
 	lk := &l.links[link]
 	return lk.capacity - lk.committed
 }
@@ -274,25 +217,7 @@ func (l *Ledger) linkCommittedAvailable(link int) float64 {
 // LinkCommittedAvailableFor is LinkCommittedAvailable with owner's own
 // committed bandwidth on the link credited back.
 func (l *Ledger) LinkCommittedAvailableFor(owner Owner, link int) float64 {
-	l.lock()
-	defer l.unlock()
-	return l.linkCommittedAvailable(link) + l.sessions[owner].links[link]
-}
-
-// RouteAvailable returns the precise available bandwidth of a virtual
-// link: the bottleneck over its constituent overlay links, or +Inf for a
-// co-located route (footnote 4).
-func (l *Ledger) RouteAvailable(r overlay.Route) float64 {
-	if r.CoLocated {
-		return math.Inf(1)
-	}
-	l.lock()
-	defer l.unlock()
-	avail := math.Inf(1)
-	for _, id := range r.Links {
-		avail = math.Min(avail, l.linkAvailable(id))
-	}
-	return avail
+	return l.LinkCommittedAvailable(link) + l.sessions[owner].links[link]
 }
 
 // HoldNode places a transient resource allocation for owner's component
@@ -313,8 +238,6 @@ func (l *Ledger) HoldNode(owner Owner, tag, node int, amount qos.Resources, expi
 // that must undo a partially-placed reservation release exactly the
 // holds they created, leaving holds placed by sibling probes intact.
 func (l *Ledger) HoldNodeTracked(owner Owner, tag, node int, amount qos.Resources, expires time.Duration) (ok, created bool) {
-	l.lock()
-	defer l.unlock()
 	l.purgeNode(node)
 	n := &l.nodes[node]
 	for _, h := range n.holds {
@@ -348,8 +271,6 @@ func (l *Ledger) HoldLink(owner Owner, tag, link int, amount float64, expires ti
 // HoldLinkTracked is HoldLink, additionally reporting whether this call
 // created a new hold (see HoldNodeTracked).
 func (l *Ledger) HoldLinkTracked(owner Owner, tag, link int, amount float64, expires time.Duration) (ok, created bool) {
-	l.lock()
-	defer l.unlock()
 	l.purgeLink(link)
 	lk := &l.links[link]
 	for _, h := range lk.holds {
@@ -373,8 +294,6 @@ func (l *Ledger) HoldLinkTracked(owner Owner, tag, link int, amount float64, exp
 // probe that fails mid-reservation uses this to return exactly what it
 // placed instead of leaking the partial holds until ReleaseOwner.
 func (l *Ledger) ReleaseNodeHold(owner Owner, tag, node int) {
-	l.lock()
-	defer l.unlock()
 	n := &l.nodes[node]
 	for i, h := range n.holds {
 		if h.owner == owner && h.tag == tag {
@@ -388,8 +307,6 @@ func (l *Ledger) ReleaseNodeHold(owner Owner, tag, node int) {
 // ReleaseLinkHold cancels owner's tag hold on the overlay link, if
 // present.
 func (l *Ledger) ReleaseLinkHold(owner Owner, tag, link int) {
-	l.lock()
-	defer l.unlock()
 	lk := &l.links[link]
 	for i, h := range lk.holds {
 		if h.owner == owner && h.tag == tag {
@@ -407,9 +324,7 @@ func (l *Ledger) ReleaseLinkHold(owner Owner, tag, link int) {
 // registered as a migration probe is additionally credited its source
 // session's committed share on the node.
 func (l *Ledger) NodeAvailableFor(owner Owner, node int) qos.Resources {
-	l.lock()
-	defer l.unlock()
-	avail := l.nodeAvailable(node)
+	avail := l.NodeAvailable(node)
 	for _, h := range l.nodes[node].holds {
 		if h.owner == owner {
 			avail = avail.Add(h.amount)
@@ -424,13 +339,7 @@ func (l *Ledger) NodeAvailableFor(owner Owner, node int) qos.Resources {
 // LinkAvailableFor returns the link's available bandwidth with owner's
 // own holds credited back.
 func (l *Ledger) LinkAvailableFor(owner Owner, link int) float64 {
-	l.lock()
-	defer l.unlock()
-	return l.linkAvailableFor(owner, link)
-}
-
-func (l *Ledger) linkAvailableFor(owner Owner, link int) float64 {
-	avail := l.linkAvailable(link)
+	avail := l.LinkAvailable(link)
 	for _, h := range l.links[link].holds {
 		if h.owner == owner {
 			avail += h.amount
@@ -446,12 +355,6 @@ func (l *Ledger) linkAvailableFor(owner Owner, link int) float64 {
 // all nodes and links. The deputy calls this once a composition decision
 // has been made; unreleased holds die by timeout anyway.
 func (l *Ledger) ReleaseOwner(owner Owner) {
-	l.lock()
-	defer l.unlock()
-	l.releaseOwner(owner)
-}
-
-func (l *Ledger) releaseOwner(owner Owner) {
 	for i := range l.nodes {
 		n := &l.nodes[i]
 		kept := n.holds[:0]
@@ -485,22 +388,20 @@ func (l *Ledger) releaseOwner(owner Owner) {
 // transient holds stay released — the request has failed and the paper's
 // protocol would let them time out regardless.
 func (l *Ledger) CommitSession(owner Owner, nodes map[int]qos.Resources, links map[int]float64) error {
-	l.lock()
-	defer l.unlock()
 	if _, ok := l.sessions[owner]; ok {
 		return fmt.Errorf("state: session %d already committed", owner)
 	}
 	if prev, ok := l.migrations[owner]; ok {
 		return fmt.Errorf("state: owner %d is migrating session %d; use MigrateSession", owner, prev)
 	}
-	l.releaseOwner(owner)
+	l.ReleaseOwner(owner)
 	for node, amount := range nodes {
-		if !l.nodeAvailable(node).Covers(amount) {
+		if !l.NodeAvailable(node).Covers(amount) {
 			return fmt.Errorf("state: node %d cannot cover %v", node, amount)
 		}
 	}
 	for link, bw := range links {
-		if l.linkAvailable(link) < bw {
+		if l.LinkAvailable(link) < bw {
 			return fmt.Errorf("state: link %d cannot cover %.1f kbps", link, bw)
 		}
 	}
@@ -522,8 +423,6 @@ func (l *Ledger) CommitSession(owner Owner, nodes map[int]qos.Resources, links m
 // ReleaseSession frees a committed session's resources when the
 // application closes (§2.2 Close). Unknown sessions are ignored.
 func (l *Ledger) ReleaseSession(owner Owner) {
-	l.lock()
-	defer l.unlock()
 	alloc, ok := l.sessions[owner]
 	if !ok {
 		return
@@ -549,15 +448,11 @@ func (l *Ledger) ReleaseSession(owner Owner) {
 
 // ActiveSessions returns the number of committed sessions.
 func (l *Ledger) ActiveSessions() int {
-	l.lock()
-	defer l.unlock()
 	return len(l.sessions)
 }
 
 // HasSession reports whether owner has a committed session allocation.
 func (l *Ledger) HasSession(owner Owner) bool {
-	l.lock()
-	defer l.unlock()
 	_, ok := l.sessions[owner]
 	return ok
 }
@@ -568,8 +463,6 @@ func (l *Ledger) HasSession(owner Owner) bool {
 // feasibility treat the session's committed allocation as reusable. A
 // session can be re-composed by at most one probe at a time.
 func (l *Ledger) BeginMigration(probe, session Owner) error {
-	l.lock()
-	defer l.unlock()
 	if _, ok := l.sessions[session]; !ok {
 		return fmt.Errorf("state: migration source session %d not committed", session)
 	}
@@ -596,8 +489,6 @@ func (l *Ledger) BeginMigration(probe, session Owner) error {
 // them with ReleaseOwner (or let them expire). Unknown probes are
 // ignored.
 func (l *Ledger) EndMigration(probe Owner) {
-	l.lock()
-	defer l.unlock()
 	delete(l.migrations, probe)
 }
 
@@ -609,10 +500,8 @@ func (l *Ledger) EndMigration(probe Owner) {
 // before any mutation, so on error the window — and the holds protecting
 // the new composition — survive for a retry or an abort. Conservation
 // (Eqs. 4–5) holds at every observable point: the session is committed
-// throughout, and the flip happens under one lock acquisition.
+// throughout, and the flip happens within this one call.
 func (l *Ledger) MigrateSession(session, probe Owner, nodes map[int]qos.Resources, links map[int]float64) error {
-	l.lock()
-	defer l.unlock()
 	old, ok := l.sessions[session]
 	if !ok {
 		return fmt.Errorf("state: migration source session %d not committed", session)
@@ -659,7 +548,7 @@ func (l *Ledger) MigrateSession(session, probe Owner, nodes map[int]qos.Resource
 	}
 	// Flip. Change observers fire once per touched node/link, after its
 	// committed amount reaches the post-flip value.
-	l.releaseOwner(probe)
+	l.ReleaseOwner(probe)
 	delete(l.migrations, probe)
 	delete(l.sessions, session)
 	alloc := sessionAlloc{nodes: make(map[int]qos.Resources, len(nodes)), links: make(map[int]float64, len(links))}
@@ -789,8 +678,6 @@ func (l *Ledger) notifyLink(link int) {
 // equal the sum of session allocations, and nothing exceeds capacity.
 // Tests call it after stochastic operation sequences.
 func (l *Ledger) CheckInvariants() error {
-	l.lock()
-	defer l.unlock()
 	committedNodes := make([]qos.Resources, len(l.nodes))
 	committedLinks := make([]float64, len(l.links))
 	for owner, alloc := range l.sessions {

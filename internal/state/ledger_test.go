@@ -1,7 +1,6 @@
 package state
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -202,34 +201,6 @@ func TestReleaseUnknownSession(t *testing.T) {
 	l.ReleaseSession(99) // must not panic or change state
 	if got := l.NodeAvailable(0); got.CPU != 100 {
 		t.Errorf("available changed: %v", got)
-	}
-}
-
-func TestRouteAvailable(t *testing.T) {
-	l, _, mesh := newTestLedger(t)
-	r, ok := mesh.RouteBetween(0, 5)
-	if !ok {
-		t.Fatal("no route")
-	}
-	want := math.Inf(1)
-	for _, id := range r.Links {
-		want = math.Min(want, l.LinkAvailable(id))
-	}
-	if got := l.RouteAvailable(r); got != want {
-		t.Errorf("RouteAvailable = %v, want %v", got, want)
-	}
-	// Consume bandwidth on the first link; route availability drops.
-	first := r.Links[0]
-	if err := l.CommitSession(1, nil, map[int]float64{first: l.LinkAvailable(first) - 10}); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.RouteAvailable(r); got != 10 {
-		t.Errorf("RouteAvailable after drain = %v, want 10", got)
-	}
-	// Co-located route is infinite.
-	self, _ := mesh.RouteBetween(3, 3)
-	if got := l.RouteAvailable(self); !math.IsInf(got, 1) {
-		t.Errorf("co-located RouteAvailable = %v, want +Inf", got)
 	}
 }
 

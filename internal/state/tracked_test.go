@@ -2,7 +2,6 @@ package state
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -124,57 +123,6 @@ func TestPartialHoldRollback(t *testing.T) {
 	if got := l.LinkAvailable(0); math.Abs(got-capacity/2) > 1e-9*capacity {
 		t.Errorf("link raw availability after rollback = %v, want %v", got, capacity/2)
 	}
-	if err := l.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLockedLedgerConcurrentUse exercises the opt-in locked mode from
-// many goroutines (meaningful under -race): concurrent holds, commits,
-// releases and global-state reads must leave the ledger consistent.
-func TestLockedLedgerConcurrentUse(t *testing.T) {
-	l, _, mesh := newTestLedger(t)
-	g, err := NewGlobal(l, mesh, DefaultGlobalConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.EnableLocking()
-	g.EnableLocking()
-
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			owner := Owner(w + 1)
-			for i := 0; i < 200; i++ {
-				node := (w + i) % l.NumNodes()
-				link := (w + i) % l.NumLinks()
-				if ok, _ := l.HoldNodeTracked(owner, i, node, qos.Resources{CPU: 1, Memory: 1}, time.Minute); ok {
-					if i%3 == 0 {
-						l.ReleaseNodeHold(owner, i, node)
-					}
-				}
-				if ok, _ := l.HoldLinkTracked(owner, i, link, 1, time.Minute); ok && i%3 == 1 {
-					l.ReleaseLinkHold(owner, i, link)
-				}
-				_ = g.NodeAvailable(node)
-				_ = l.NodeAvailableFor(owner, node)
-				if i%50 == 49 {
-					l.ReleaseOwner(owner)
-				}
-			}
-			l.ReleaseOwner(owner)
-		}(w)
-	}
-	go func() {
-		for i := 0; i < 50; i++ {
-			g.Aggregate()
-			g.ForceRefresh()
-		}
-	}()
-	wg.Wait()
 	if err := l.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
