@@ -32,3 +32,12 @@ func TestRunSeedAveraged(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRunFairnessFigure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure run in -short mode")
+	}
+	if err := run([]string{"-fig", "fairness", "-seed", "3"}); err != nil {
+		t.Fatal(err)
+	}
+}

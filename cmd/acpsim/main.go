@@ -10,7 +10,7 @@
 //	acpsim -trace-out probes.jsonl -metrics-out counters.txt
 //	acpsim -dist -fault-drop 0.2 -fault-crashes 3 -requests 64
 //	acpsim -adapt -surges 4 && acpsim -adapt -adapt-predictive
-//	acpsim -multi-app -family diurnal -tenants 4 && acpsim -fairness
+//	acpsim -multi-app -family diurnal -tenants 4
 package main
 
 import (
@@ -97,7 +97,6 @@ func run(args []string) error {
 		tenants  = fs.Int("tenants", 3, "multi-app: competing application count")
 		ticks    = fs.Int("ticks", 18, "multi-app: episode length in admission rounds")
 		load     = fs.Float64("load", 1.5, "multi-app: expected arrivals per tenant per tick")
-		fairFig  = fs.Bool("fairness", false, "print the multi-application fairness figure (success rate and Jain index vs load per family)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -107,9 +106,6 @@ func run(args []string) error {
 	}
 	if *adaptMode {
 		return runAdapt(*seed, *sessions, *surges, !*adaptOff, *adaptPred)
-	}
-	if *fairFig {
-		return runFairness(*seed)
 	}
 	if *multiApp {
 		return runMultiApp(*seed, *famName, *tenants, *ticks, *load)
@@ -418,21 +414,6 @@ func runMultiApp(seed int64, famName string, tenants, ticks int, load float64) e
 			rep.Fairness, rep.MinLiveFairness)
 	}
 	fmt.Printf("wall clock       %v (oracle-audited)\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runFairness prints the multi-application fairness figure.
-func runFairness(seed int64) error {
-	tables, err := experiment.FairnessSweep(experiment.Options{Seed: seed})
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		if err := t.Fprint(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
 	return nil
 }
 

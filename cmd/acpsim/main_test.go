@@ -234,12 +234,3 @@ func TestRunMultiApp(t *testing.T) {
 		t.Error("unknown scenario family accepted")
 	}
 }
-
-func TestRunFairnessFigure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure run in -short mode")
-	}
-	if err := run([]string{"-fairness", "-seed", "3"}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -12,8 +12,9 @@ import (
 // snapshot. Instrument names are sanitized to the Prometheus charset
 // (every run of invalid characters becomes one underscore, so
 // "core.walk.rtt_ms" scrapes as "core_walk_rtt_ms"). Quantile
-// histograms and histogram vectors render as summaries carrying the
-// standard p50/p90/p99/p999 quantile series beside _sum and _count.
+// histograms render as unlabeled summaries carrying the standard
+// p50/p90/p99/p999 quantile series beside _sum and _count; counter and
+// gauge vectors render as labeled counter and gauge families.
 
 // promName sanitizes an instrument name to [a-zA-Z_:][a-zA-Z0-9_:]*.
 func promName(name string) string {
@@ -47,9 +48,9 @@ func promEscape(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// promLabels renders {k1="v1",...} from parallel name/value slices,
-// plus an optional extra pair; empty when there are no labels at all.
-func promLabels(names, values []string, extraName, extraValue string) string {
+// promLabels renders {k1="v1",...} from parallel name/value slices;
+// empty when there are no labels.
+func promLabels(names, values []string) string {
 	var parts []string
 	for i, v := range values {
 		name := "label" + strconv.Itoa(i)
@@ -57,9 +58,6 @@ func promLabels(names, values []string, extraName, extraValue string) string {
 			name = promName(names[i])
 		}
 		parts = append(parts, fmt.Sprintf(`%s="%s"`, name, promEscape(v)))
-	}
-	if extraName != "" {
-		parts = append(parts, fmt.Sprintf(`%s="%s"`, extraName, promEscape(extraValue)))
 	}
 	if len(parts) == 0 {
 		return ""
@@ -108,7 +106,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		n := promName(name)
 		fmt.Fprintf(bw, "# TYPE %s counter\n", n)
 		for _, lv := range v.Values {
-			fmt.Fprintf(bw, "%s%s %d\n", n, promLabels(v.LabelNames, lv.Labels, "", ""), int64(lv.Value))
+			fmt.Fprintf(bw, "%s%s %d\n", n, promLabels(v.LabelNames, lv.Labels), int64(lv.Value))
 		}
 	}
 	for _, name := range sortedKeys(s.GaugeVecs) {
@@ -116,20 +114,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		n := promName(name)
 		fmt.Fprintf(bw, "# TYPE %s gauge\n", n)
 		for _, lv := range v.Values {
-			fmt.Fprintf(bw, "%s%s %s\n", n, promLabels(v.LabelNames, lv.Labels, "", ""), promFloat(lv.Value))
-		}
-	}
-	for _, name := range sortedKeys(s.HistogramVecs) {
-		v := s.HistogramVecs[name]
-		n := promName(name)
-		fmt.Fprintf(bw, "# TYPE %s summary\n", n)
-		for _, lh := range v.Values {
-			for _, pq := range promQuantiles {
-				fmt.Fprintf(bw, "%s%s %s\n", n,
-					promLabels(v.LabelNames, lh.Labels, "quantile", pq.q), promFloat(pq.pick(lh.Histogram)))
-			}
-			fmt.Fprintf(bw, "%s_sum%s %s\n", n, promLabels(v.LabelNames, lh.Labels, "", ""), promFloat(lh.Histogram.Sum))
-			fmt.Fprintf(bw, "%s_count%s %d\n", n, promLabels(v.LabelNames, lh.Labels, "", ""), lh.Histogram.Count)
+			fmt.Fprintf(bw, "%s%s %s\n", n, promLabels(v.LabelNames, lv.Labels), promFloat(lv.Value))
 		}
 	}
 	return bw.Flush()

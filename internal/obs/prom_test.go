@@ -17,9 +17,6 @@ func fullRegistry() *Registry {
 	}
 	r.CounterVec("rpc.calls", "method").With("find").Add(4)
 	r.GaugeVec("session.phi", "session").With("9").Set(0.75)
-	hv := r.HistogramVec("op.latency_ms", "op")
-	hv.With("find").Observe(2)
-	hv.With("close").Observe(8)
 	return r
 }
 
@@ -41,7 +38,6 @@ func TestWritePrometheusIsValidExposition(t *testing.T) {
 		`core_walk_rtt_ms{quantile="0.999"}`,
 		`rpc_calls{method="find"} 4`,
 		`session_phi{session="9"} 0.75`,
-		`op_latency_ms{op="find",quantile="0.99"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -121,6 +117,7 @@ h_sum 4.5
 h_count 3
 # TYPE s summary
 s{quantile="0.5"} 1
+s{op="find",quantile="0.99"} 1
 s_sum 2
 s_count 2
 `

@@ -1,6 +1,6 @@
 // Package obs is the zero-dependency observability layer: a
 // concurrency-safe instrument registry (counters, gauges, auto-ranging
-// quantile histograms, and labeled instrument vectors), a
+// quantile histograms, and labeled counter and gauge vectors), a
 // probe-lifecycle tracer emitting structured span events with an
 // in-process subscription fanout, an HTTP scrape surface
 // (Serve), and a QoS drift monitor comparing per-session observed
@@ -17,7 +17,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -86,8 +85,6 @@ type Registry struct {
 	counterVecs map[string]*CounterVec
 	// gaugeVecs indexes gauge vectors by name. guarded by mu
 	gaugeVecs map[string]*GaugeVec
-	// histogramVecs indexes histogram vectors by name. guarded by mu
-	histogramVecs map[string]*HistogramVec
 
 	// labelErrors counts vector lookups with the wrong label arity and
 	// vector re-registrations with different label names. Surfaced as
@@ -98,12 +95,11 @@ type Registry struct {
 // NewRegistry returns an empty instrument registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:      make(map[string]*Counter),
-		gauges:        make(map[string]*Gauge),
-		quantiles:     make(map[string]*QHistogram),
-		counterVecs:   make(map[string]*CounterVec),
-		gaugeVecs:     make(map[string]*GaugeVec),
-		histogramVecs: make(map[string]*HistogramVec),
+		counters:    make(map[string]*Counter),
+		gauges:      make(map[string]*Gauge),
+		quantiles:   make(map[string]*QHistogram),
+		counterVecs: make(map[string]*CounterVec),
+		gaugeVecs:   make(map[string]*GaugeVec),
 	}
 }
 
@@ -259,37 +255,6 @@ func (r *Registry) GaugeVec(name string, labelNames ...string) *GaugeVec {
 	return v
 }
 
-// HistogramVec returns the named quantile-histogram vector with the
-// given label names, creating it on first use. Registration semantics
-// match CounterVec. A nil registry returns a nil (no-op) vector.
-func (r *Registry) HistogramVec(name string, labelNames ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	v := r.histogramVecs[name]
-	r.mu.RUnlock()
-	if v == nil {
-		r.mu.Lock()
-		if v = r.histogramVecs[name]; v == nil {
-			v = &HistogramVec{
-				vecCore: vecCore{
-					labels:   append([]string(nil), labelNames...),
-					children: make(map[string][]string),
-					onArity:  r.labelErrors.Inc,
-				},
-				byKey: make(map[string]*QHistogram),
-			}
-			r.histogramVecs[name] = v
-			r.mu.Unlock()
-			return v
-		}
-		r.mu.Unlock()
-	}
-	r.checkLabels(v.labels, labelNames)
-	return v
-}
-
 // Snapshot is a point-in-time copy of every instrument. Concurrent
 // updates during the copy yield per-instrument (not cross-instrument)
 // consistency, which is what monitoring needs.
@@ -306,22 +271,20 @@ type Snapshot struct {
 	Gauges   map[string]float64 `json:"gauges"`
 	// The vector and quantile maps are omitted from JSON while empty so
 	// snapshots from registries predating them are byte-identical.
-	Quantiles     map[string]QHistogramSnapshot   `json:"quantiles,omitempty"`
-	CounterVecs   map[string]VecSnapshot          `json:"counterVecs,omitempty"`
-	GaugeVecs     map[string]VecSnapshot          `json:"gaugeVecs,omitempty"`
-	HistogramVecs map[string]HistogramVecSnapshot `json:"histogramVecs,omitempty"`
+	Quantiles   map[string]QHistogramSnapshot `json:"quantiles,omitempty"`
+	CounterVecs map[string]VecSnapshot        `json:"counterVecs,omitempty"`
+	GaugeVecs   map[string]VecSnapshot        `json:"gaugeVecs,omitempty"`
 }
 
 // Snapshot copies the registry's current state. A nil registry yields an
 // empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
-		Counters:      make(map[string]int64),
-		Gauges:        make(map[string]float64),
-		Quantiles:     make(map[string]QHistogramSnapshot),
-		CounterVecs:   make(map[string]VecSnapshot),
-		GaugeVecs:     make(map[string]VecSnapshot),
-		HistogramVecs: make(map[string]HistogramVecSnapshot),
+		Counters:    make(map[string]int64),
+		Gauges:      make(map[string]float64),
+		Quantiles:   make(map[string]QHistogramSnapshot),
+		CounterVecs: make(map[string]VecSnapshot),
+		GaugeVecs:   make(map[string]VecSnapshot),
 	}
 	if r == nil {
 		return s
@@ -342,9 +305,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, v := range r.gaugeVecs {
 		s.GaugeVecs[name] = v.Snapshot()
-	}
-	for name, v := range r.histogramVecs {
-		s.HistogramVecs[name] = v.Snapshot()
 	}
 	// Self-monitoring counters appear once they have something to say,
 	// keeping snapshots from clean registries unchanged.
@@ -393,16 +353,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 			}
 		}
 	}
-	for _, name := range sortedKeys(s.HistogramVecs) {
-		v := s.HistogramVecs[name]
-		for _, lh := range v.Values {
-			q := lh.Histogram
-			if _, err := fmt.Fprintf(w, "histogramvec %s%s count=%d p50=%g p99=%g p999=%g\n",
-				name, labelText(v.LabelNames, lh.Labels), q.Count, q.P50, q.P99, q.P999); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
@@ -420,17 +370,6 @@ func labelText(names, values []string) string {
 		out += fmt.Sprintf("%s=%q", name, v)
 	}
 	return out + "}"
-}
-
-// PublishExpvar exposes the registry's live snapshot under the given
-// expvar name (and thus on /debug/vars when an HTTP server is up).
-// Publishing an already-used name panics (expvar's contract), so call
-// once per registry per process. No-op on a nil registry.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }
 
 func sortedKeys[V any](m map[string]V) []string {

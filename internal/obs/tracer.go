@@ -79,12 +79,6 @@ const (
 	// EventComposeRetried marks the deputy-side retry of a compose
 	// attempt that failed under transient loss.
 	EventComposeRetried EventType = "request.retried"
-	// EventAuditViolation marks an invariant violated during a
-	// deterministic simulation run (resource conservation, commit-ledger
-	// consistency, tombstone idempotency). Emitted by the harness
-	// auditor at the step where the invariant first broke, so a recorded
-	// trace pinpoints the violating schedule position.
-	EventAuditViolation EventType = "audit.violation"
 	// EventQoSDrift marks the drift monitor seeing a session's observed
 	// gauge cross its Eq. 3 requirement (reason drift-exceeded) or come
 	// back under it (drift-recovered). Session, Observed, and Required
@@ -190,8 +184,8 @@ type Event struct {
 	// Count is a small event-specific tally: holds expired on
 	// hold.swept, the attempt number on request.retried.
 	Count int `json:"count,omitempty"`
-	// Detail carries free-form context on audit.violation events: which
-	// invariant broke and the offending values.
+	// Detail carries free-form context on session.migrated events: the
+	// request the session migrated from.
 	Detail string `json:"detail,omitempty"`
 	// Session names the committed session a qos.drift event is about.
 	Session string `json:"session,omitempty"`
@@ -461,13 +455,6 @@ func (t *Tracer) HoldSwept(node, count int) {
 // attempt is 1-based and req is the ID of the attempt that failed.
 func (t *Tracer) ComposeRetried(req int64, node, attempt int) {
 	t.emit(Event{Type: EventComposeRetried, Req: req, Pos: -1, Node: node, Count: attempt})
-}
-
-// AuditViolation records an invariant broken at node (or -1 for a
-// cluster-wide invariant), with free-form detail naming the invariant
-// and the offending values. Emitted by the simulation harness auditor.
-func (t *Tracer) AuditViolation(node int, detail string) {
-	t.emit(Event{Type: EventAuditViolation, Pos: -1, Node: node, Detail: detail})
 }
 
 // MemorySink collects events in memory for tests and in-process

@@ -6,18 +6,20 @@ import (
 	"sync"
 )
 
-// Labeled instrument vectors: families of counters, gauges, or quantile
-// histograms indexed by an ordered tuple of label values (session,
-// tenant, node, ...). Each distinct label tuple materialises one child
-// instrument, resolved once with With and then updated lock-free, so a
-// per-session gauge costs what an unlabeled gauge costs after the first
-// touch.
+// Labeled instrument vectors: families of counters or gauges indexed by
+// an ordered tuple of label values (session, tenant, op, ...). Each
+// distinct label tuple materialises one child instrument, resolved once
+// with With and then updated lock-free, so a per-session gauge costs
+// what an unlabeled gauge costs after the first touch. A labeled
+// latency is not a vector: it is one QHistogram per name, with the
+// label folded into the name (server.phase.<op>.latency_quantiles_ms).
 //
-// Label cardinality is the caller's contract: children live until
-// Delete, so label sets must be bounded by something the caller tears
-// down (sessions, nodes) — never by unbounded values (request IDs,
-// timestamps). The drift monitor and the /metrics exposition iterate
-// every child.
+// Label cardinality is the caller's contract. Counter children live as
+// long as their vector, so counter labels must come from a bounded set
+// (op names, error codes, tenants). Gauge children live until Delete,
+// so per-session gauges are deleted at session teardown. Never label by
+// unbounded values (request IDs, timestamps). The drift monitor and the
+// /metrics exposition iterate every child.
 //
 // All vector types are nil-safe the same way the scalar instruments
 // are: a nil vector hands out nil (no-op) children. With called with
@@ -53,22 +55,6 @@ func (v *vecCore) keyFor(values []string) (string, bool) {
 	return labelKey(values), true
 }
 
-// LabelValues returns the label tuples of every live child, sorted.
-func (v *vecCore) labelValues() [][]string {
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	v.mu.RUnlock()
-	sort.Strings(keys)
-	out := make([][]string, len(keys))
-	for i, k := range keys {
-		out[i] = splitLabelKey(k)
-	}
-	return out
-}
-
 // CounterVec is a family of counters indexed by label values.
 type CounterVec struct {
 	vecCore
@@ -100,38 +86,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 		v.children[key] = append([]string(nil), labelValues...)
 	}
 	return c
-}
-
-// Delete drops the child for the given label values (e.g. at session
-// teardown, keeping label cardinality bounded). No-op when absent.
-func (v *CounterVec) Delete(labelValues ...string) {
-	if v == nil {
-		return
-	}
-	key, ok := v.keyFor(labelValues)
-	if !ok {
-		return
-	}
-	v.mu.Lock()
-	delete(v.byKey, key)
-	delete(v.children, key)
-	v.mu.Unlock()
-}
-
-// LabelNames returns the vector's label names.
-func (v *CounterVec) LabelNames() []string {
-	if v == nil {
-		return nil
-	}
-	return append([]string(nil), v.labels...)
-}
-
-// LabelValues returns the label tuples of every live child, sorted.
-func (v *CounterVec) LabelValues() [][]string {
-	if v == nil {
-		return nil
-	}
-	return v.labelValues()
 }
 
 // GaugeVec is a family of gauges indexed by label values.
@@ -196,86 +150,23 @@ func (v *GaugeVec) Delete(labelValues ...string) {
 	v.mu.Unlock()
 }
 
-// LabelNames returns the vector's label names.
-func (v *GaugeVec) LabelNames() []string {
-	if v == nil {
-		return nil
-	}
-	return append([]string(nil), v.labels...)
-}
-
 // LabelValues returns the label tuples of every live child, sorted.
 func (v *GaugeVec) LabelValues() [][]string {
 	if v == nil {
 		return nil
 	}
-	return v.labelValues()
-}
-
-// HistogramVec is a family of quantile histograms indexed by label
-// values. Children are QHistograms: labeled latency families need the
-// auto-ranging layout, not per-family bucket bounds.
-type HistogramVec struct {
-	vecCore
-	byKey map[string]*QHistogram
-}
-
-// With returns the child histogram for the given label values, creating
-// it on first use. Nil receiver or wrong label arity returns a nil
-// (no-op) histogram.
-func (v *HistogramVec) With(labelValues ...string) *QHistogram {
-	if v == nil {
-		return nil
-	}
-	key, ok := v.keyFor(labelValues)
-	if !ok {
-		return nil
-	}
 	v.mu.RLock()
-	h := v.byKey[key]
+	keys := make([]string, 0, len(v.children))
+	for k := range v.children {
+		keys = append(keys, k)
+	}
 	v.mu.RUnlock()
-	if h != nil {
-		return h
+	sort.Strings(keys)
+	out := make([][]string, len(keys))
+	for i, k := range keys {
+		out[i] = splitLabelKey(k)
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h = v.byKey[key]; h == nil {
-		h = NewQHistogram()
-		v.byKey[key] = h
-		v.children[key] = append([]string(nil), labelValues...)
-	}
-	return h
-}
-
-// Delete drops the child for the given label values.
-func (v *HistogramVec) Delete(labelValues ...string) {
-	if v == nil {
-		return
-	}
-	key, ok := v.keyFor(labelValues)
-	if !ok {
-		return
-	}
-	v.mu.Lock()
-	delete(v.byKey, key)
-	delete(v.children, key)
-	v.mu.Unlock()
-}
-
-// LabelNames returns the vector's label names.
-func (v *HistogramVec) LabelNames() []string {
-	if v == nil {
-		return nil
-	}
-	return append([]string(nil), v.labels...)
-}
-
-// LabelValues returns the label tuples of every live child, sorted.
-func (v *HistogramVec) LabelValues() [][]string {
-	if v == nil {
-		return nil
-	}
-	return v.labelValues()
+	return out
 }
 
 // Snapshot copies the vector's current state; zero value on nil.
@@ -312,23 +203,6 @@ func (v *GaugeVec) Snapshot() VecSnapshot {
 	return s
 }
 
-// Snapshot copies the vector's current state; zero value on nil.
-func (v *HistogramVec) Snapshot() HistogramVecSnapshot {
-	if v == nil {
-		return HistogramVecSnapshot{}
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	s := HistogramVecSnapshot{LabelNames: append([]string(nil), v.labels...)}
-	for _, k := range sortedKeys(v.byKey) {
-		s.Values = append(s.Values, LabeledQHistogram{
-			Labels:    append([]string(nil), v.children[k]...),
-			Histogram: v.byKey[k].Snapshot(),
-		})
-	}
-	return s
-}
-
 // LabeledValue is one vector child's value in a snapshot.
 type LabeledValue struct {
 	// Labels holds the child's label values, parallel to the vector's
@@ -345,16 +219,4 @@ type VecSnapshot struct {
 	LabelNames []string `json:"labelNames"`
 	// Values holds one entry per live child, sorted by label values.
 	Values []LabeledValue `json:"values"`
-}
-
-// LabeledQHistogram is one histogram-vector child in a snapshot.
-type LabeledQHistogram struct {
-	Labels    []string           `json:"labels"`
-	Histogram QHistogramSnapshot `json:"histogram"`
-}
-
-// HistogramVecSnapshot is one histogram vector's state at snapshot time.
-type HistogramVecSnapshot struct {
-	LabelNames []string            `json:"labelNames"`
-	Values     []LabeledQHistogram `json:"values"`
 }

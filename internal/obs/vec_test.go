@@ -37,14 +37,6 @@ func TestVecBasics(t *testing.T) {
 	if gv.Get("9") != nil {
 		t.Fatal("Delete left the child behind")
 	}
-
-	hv := r.HistogramVec("op.latency", "op")
-	hv.With("find").Observe(3)
-	hv.With("find").Observe(5)
-	hs := hv.Snapshot()
-	if len(hs.Values) != 1 || hs.Values[0].Histogram.Count != 2 {
-		t.Fatalf("histogram vec snapshot = %+v", hs)
-	}
 }
 
 func TestVecArityMismatch(t *testing.T) {
@@ -72,22 +64,17 @@ func TestNilVecsAreNoOps(t *testing.T) {
 	var (
 		cv *CounterVec
 		gv *GaugeVec
-		hv *HistogramVec
 	)
 	cv.With("x").Inc()
-	cv.Delete("x")
 	gv.With("x").Set(1)
 	if gv.Get("x") != nil {
 		t.Fatal("nil GaugeVec.Get returned a child")
 	}
-	hv.With("x").Observe(1)
+	gv.Delete("x")
 	if s := cv.Snapshot(); len(s.Values) != 0 {
 		t.Fatalf("nil snapshot = %+v", s)
 	}
-	if names := gv.LabelNames(); names != nil {
-		t.Fatalf("nil LabelNames = %v", names)
-	}
-	if lv := hv.LabelValues(); lv != nil {
+	if lv := gv.LabelValues(); lv != nil {
 		t.Fatalf("nil LabelValues = %v", lv)
 	}
 
@@ -147,14 +134,18 @@ func TestVecConcurrent(t *testing.T) {
 	}
 }
 
-// TestVecObserveAllocationFree guards the labeled hot path: bumping an
-// existing child must not allocate.
+// TestVecObserveAllocationFree guards the labeled hot path: updating an
+// existing child must not allocate. The runtime sets each session's
+// gauge child on every Find.
 func TestVecObserveAllocationFree(t *testing.T) {
 	r := NewRegistry()
-	hv := r.HistogramVec("h", "k")
-	child := hv.With("steady")
-	if n := testing.AllocsPerRun(1000, func() { child.Observe(1.5) }); n != 0 {
-		t.Errorf("cached child Observe allocates %v per call", n)
+	gv := r.GaugeVec("g", "session")
+	gc := gv.With("steady")
+	if n := testing.AllocsPerRun(1000, func() { gc.Set(1.5) }); n != 0 {
+		t.Errorf("cached child Set allocates %v per call", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { gv.With("steady").Set(1.5) }); n != 0 {
+		t.Errorf("existing child With+Set allocates %v per call", n)
 	}
 	cv := r.CounterVec("c", "k")
 	cc := cv.With("steady")

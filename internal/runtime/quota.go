@@ -140,14 +140,6 @@ func (c *Cluster) SetTenantQuota(tenant string, quota TenantQuota) {
 	c.quota.quotas[tenant] = quota
 }
 
-// TenantQuotaFor returns the tenant's configured quota (zero value =
-// unlimited).
-func (c *Cluster) TenantQuotaFor(tenant string) TenantQuota {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.quota.quotas[tenant]
-}
-
 // TenantUsageFor returns the tenant's live admission footprint.
 func (c *Cluster) TenantUsageFor(tenant string) TenantUsage {
 	c.mu.Lock()
